@@ -11,19 +11,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
-from datetime import datetime
 
 from .errors import ValidationError
-
-
-@dataclass(frozen=True)
-class AnomalyRecord:
-    timestamp: datetime
-    value: float
-    raw_score: float
-    likelihood: float
-    flagged: bool
 
 
 def raw_anomaly_score(predicted_columns: set[int], active_columns) -> float:

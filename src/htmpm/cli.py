@@ -26,7 +26,7 @@ from .errors import DataError, HtmpmError, ValidationError
 from .nab import PROFILES, benchmark, make_windows
 from .psd_synth import DegradationModel, SynthSpec, generate_degradation, psd_map
 from .series import (read_labels, read_scores, read_series, write_labels,
-                     write_scores, write_series)
+                     write_scores, write_series, write_windows)
 
 MODEL_FORMAT = "htmpm-model"
 MODEL_VERSION = 1
@@ -132,7 +132,6 @@ def cmd_score(scores_dir, labels_path, profiles, output_dir,
         [PROFILES[p] for p in profiles],
     )
     output_dir.mkdir(parents=True, exist_ok=True)
-    from .series import write_windows
     write_windows(output_dir / "windows.json", windows_by_file)
     (output_dir / "results.json").write_text(json.dumps([
         {

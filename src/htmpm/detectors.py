@@ -255,7 +255,9 @@ def run_file(cfg: DetectorConfig, series, train_fraction: float = 0.15) -> list[
 
     The first train_fraction of records is still fed through the detector
     (online learning), but their emitted scores are forced to 0 so the
-    scorer never credits detections inside the training stretch.
+    scorer never credits detections inside the training stretch. Only that
+    prefix calibrates the detector: with an empty prefix, a detector that
+    needs calibration fails rather than look ahead into the scored stream.
     """
     records = list(series)
     if not records:
@@ -264,7 +266,7 @@ def run_file(cfg: DetectorConfig, series, train_fraction: float = 0.15) -> list[
         raise ValidationError(f"train_fraction must be in [0, 1), got {train_fraction}")
     n_train = int(len(records) * train_fraction)
     detector = build_detector(cfg)
-    detector.calibrate([v for _, v in records[:n_train]] or [v for _, v in records])
+    detector.calibrate([v for _, v in records[:n_train]])
     scores: list[float] = []
     prev_ts = None
     for i, (ts, value) in enumerate(records):

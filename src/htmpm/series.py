@@ -86,16 +86,21 @@ def read_scores(path) -> list[tuple[datetime, float, float]]:
         found = lines[0] if lines else "<empty file>"
         raise DataError(f"{path}: expected header {SCORES_HEADER!r}, found {found!r}")
     rows = []
+    prev_ts = None
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
         if len(parts) != 3:
             raise DataError(f"{path}:{lineno}: malformed row {line!r}")
+        ts = parse_timestamp(parts[0])
         try:
-            rows.append((parse_timestamp(parts[0]), float(parts[1]), float(parts[2])))
+            rows.append((ts, float(parts[1]), float(parts[2])))
         except ValueError:
             raise DataError(f"{path}:{lineno}: bad number in {line!r}") from None
+        if prev_ts is not None and ts < prev_ts:
+            raise StreamError(f"{path}:{lineno}: timestamps out of order")
+        prev_ts = ts
     if not rows:
         raise DataError(f"{path}: no data rows")
     return rows

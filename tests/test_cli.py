@@ -118,6 +118,19 @@ class TestRunCommand:
                    "--output", str(tmp_path / "out")])
         assert rc == 1
 
+    def test_htm_without_training_prefix_or_range_exits_1(self, tmp_path):
+        corpus, _ = make_corpus(tmp_path, n_files=1, n_records=5)
+        rc = main(["run", "--corpus", str(corpus), "--output", str(tmp_path / "out"),
+                   "--detector", "htm_hd", "--train-fraction", "0",
+                   "--param", "n_columns=64", "--param", "k_active=4"])
+        assert rc == 1
+
+    def test_threshold_without_training_prefix_or_level_exits_2(self, tmp_path):
+        corpus, _ = make_corpus(tmp_path, n_files=1)
+        rc = main(["run", "--corpus", str(corpus), "--output", str(tmp_path / "out"),
+                   "--detector", "threshold", "--train-fraction", "0"])
+        assert rc == 2
+
 
 class TestScoreCommand:
     def run_and_score(self, tmp_path, detector, extra_run=()):
@@ -161,6 +174,18 @@ class TestScoreCommand:
         corpus, labels = make_corpus(tmp_path)
         scores_dir = tmp_path / "scores"
         scores_dir.mkdir()
+        rc = main(["score", "--scores", str(scores_dir),
+                   "--labels", str(labels), "--output", str(tmp_path / "r")])
+        assert rc == 2
+
+    def test_out_of_order_score_file_exits_2(self, tmp_path):
+        corpus, labels = make_corpus(tmp_path)
+        scores_dir = tmp_path / "scores"
+        main(["run", "--corpus", str(corpus), "--output", str(scores_dir),
+              "--detector", "null"])
+        path = scores_dir / "series_0.csv"
+        header, first, second, *rest = path.read_text().splitlines()
+        path.write_text("\n".join([header, second, first, *rest]) + "\n")
         rc = main(["score", "--scores", str(scores_dir),
                    "--labels", str(labels), "--output", str(tmp_path / "r")])
         assert rc == 2

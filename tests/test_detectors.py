@@ -177,6 +177,20 @@ class TestRunFile:
         scores = run_file(DetectorConfig("null", {}), recs, train_fraction=0.0)
         assert scores == [0.5] * 10
 
+    def test_calibration_never_sees_the_scored_stream(self):
+        recs = series(range(10))
+        with pytest.raises(ValidationError):
+            run_file(DetectorConfig("htm_hd", {"n_columns": 64, "k_active": 4}),
+                     recs, train_fraction=0.0)
+        with pytest.raises(DataError):
+            run_file(DetectorConfig("threshold", {}), recs, train_fraction=0.05)
+
+    def test_zero_train_fraction_with_explicit_calibration(self):
+        recs = series(range(10))
+        scores = run_file(DetectorConfig("threshold", {"threshold": 4.5}), recs,
+                          train_fraction=0.0)
+        assert scores == [0.0] * 5 + [1.0] * 5
+
     def test_empty_series_rejected(self):
         with pytest.raises(DataError):
             run_file(DetectorConfig("null", {}), [])

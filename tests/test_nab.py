@@ -1,11 +1,13 @@
 """Benchmark scoring: windows, positional sigmoid, threshold sweep."""
 
+import hashlib
 import math
 import random
 from datetime import datetime, timedelta
 
 import pytest
 
+from htmpm.cli import main
 from htmpm.errors import DataError, ValidationError
 from htmpm.nab import (LOW_FN, LOW_FP, PROFILES, STANDARD, AnomalyWindow,
                        ScoringProfile, benchmark, make_windows, normalize,
@@ -154,6 +156,60 @@ class TestScoreRun:
             score_run([(ts(0), 0.5)], [], 1.1, STANDARD)
 
 
+def brute_force_optimum(outputs, wbf, profile):
+    """score_run at every candidate, highest first; the first maximum wins."""
+    candidates = {0.0, 1.0}
+    for output in outputs.values():
+        candidates.update(s for _, s in output)
+    best_thr, best_raw = None, None
+    for cand in sorted(candidates, reverse=True):
+        total = sum(score_run(outputs[n], wbf.get(n, []), cand, profile)
+                    for n in outputs)
+        if best_raw is None or total > best_raw:
+            best_thr, best_raw = cand, total
+    return best_thr, best_raw
+
+
+def brute_force_oracle(times, wbf):
+    """1.0 at the first record inside each window, by direct scans."""
+    outputs = {}
+    for name, stamps in times.items():
+        hit = set()
+        outputs[name] = []
+        for t in stamps:
+            inside = [i for i, w in enumerate(wbf.get(name, [])) if t in w]
+            first = bool(inside) and inside[0] not in hit
+            hit.update(inside)
+            outputs[name].append((t, 1.0 if first else 0.0))
+    return outputs
+
+
+def random_corpus(rng):
+    """A few files sharing timestamps: repeated timestamps, scores tied on a
+    coarse grid, windows whose edges fall exactly on records, short windows
+    with detections far past them, records before the first window, and
+    files with no windows or no records at all."""
+    outputs, wbf = {}, {}
+    for i in range(rng.randint(1, 4)):
+        times, t = [], ts(rng.randint(0, 3))
+        for _ in range(rng.randint(0, 50)):
+            times.append(t)
+            t += timedelta(minutes=rng.choice((0, 1, 1, 2)))
+        decimals = rng.choice((1, 2, 6))
+        outputs[f"f{i}.csv"] = [(t, round(rng.random(), decimals)) for t in times]
+        windows, k = [], rng.randint(1, 12)
+        while rng.random() < 0.8 and k + 1 < len(times):
+            end = min(k + rng.randint(1, 6), len(times) - 1)
+            if times[end] > times[k]:
+                windows.append(AnomalyWindow(times[k], times[end]))
+            k = end + 1
+            while k < len(times) and times[k] == times[end]:
+                k += 1
+            k += rng.randint(0, 20)
+        wbf[f"f{i}.csv"] = windows
+    return outputs, wbf
+
+
 class TestOptimizeThreshold:
     def single_file(self, output, windows):
         return {"f.csv": output}, {"f.csv": windows}
@@ -193,18 +249,91 @@ class TestOptimizeThreshold:
             wbf[name] = make_windows([ts(m) for m in labels],
                                      (times[0], times[-1]), 0.10)
         for profile in (STANDARD, LOW_FP, LOW_FN, UNIT):
-            candidates = {0.0, 1.0}
-            for output in outputs.values():
-                candidates.update(s for _, s in output)
-            best_thr, best_raw = None, None
-            for cand in sorted(candidates, reverse=True):
-                total = sum(score_run(outputs[n], wbf[n], cand, profile)
-                            for n in outputs)
-                if best_raw is None or total > best_raw:
-                    best_thr, best_raw = cand, total
+            best_thr, best_raw = brute_force_optimum(outputs, wbf, profile)
             thr, raw = optimize_threshold(outputs, wbf, profile)
             assert thr == pytest.approx(best_thr)
             assert raw == pytest.approx(best_raw, abs=1e-9)
+
+
+class TestSweepMatchesBruteForce:
+    PROFILES = (STANDARD, LOW_FP, LOW_FN, UNIT)
+
+    def test_optimize_threshold(self):
+        rng = random.Random(2015)
+        for _ in range(60):
+            outputs, wbf = random_corpus(rng)
+            for profile in self.PROFILES:
+                best_thr, best_raw = brute_force_optimum(outputs, wbf, profile)
+                thr, raw = optimize_threshold(outputs, wbf, profile)
+                assert thr == best_thr
+                assert raw == pytest.approx(best_raw, abs=1e-9)
+
+    def test_oracle_outputs(self):
+        rng = random.Random(7)
+        for _ in range(60):
+            outputs, wbf = random_corpus(rng)
+            times = {n: [t for t, _ in o] for n, o in outputs.items()}
+            assert oracle_outputs(times, wbf) == brute_force_oracle(times, wbf)
+
+    def test_benchmark(self):
+        rng = random.Random(1)
+        checked = 0
+        while checked < 30:
+            outputs, wbf = random_corpus(rng)
+            if not any(wbf.values()):
+                continue  # no windows: the normalization bounds coincide
+            times = {n: [t for t, _ in o] for n, o in outputs.items()}
+            oracle = brute_force_oracle(times, wbf)
+            results = benchmark("x", outputs, wbf, self.PROFILES)
+            for r, profile in zip(results, self.PROFILES):
+                thr, raw = brute_force_optimum(outputs, wbf, profile)
+                _, null_raw = brute_force_optimum(null_outputs(times), wbf, profile)
+                _, perfect_raw = brute_force_optimum(oracle, wbf, profile)
+                assert r.optimized_threshold == thr
+                assert r.raw_score == pytest.approx(raw, abs=1e-9)
+                assert r.normalized_score == pytest.approx(
+                    normalize(raw, null_raw, perfect_raw), abs=1e-9)
+            checked += 1
+
+
+class TestWindowsMustBeDisjoint:
+    def corpus(self, windows):
+        return {"f.csv": [(t, 0.5) for t in timeline(40)]}, {"f.csv": windows}
+
+    @pytest.mark.parametrize("start", [15, 20])
+    def test_overlapping_windows_rejected(self, start):
+        windows = [AnomalyWindow(ts(start), ts(30)), AnomalyWindow(ts(10), ts(20))]
+        outputs, wbf = self.corpus(windows)
+        with pytest.raises(ValidationError, match="overlap"):
+            optimize_threshold(outputs, wbf, STANDARD)
+        with pytest.raises(ValidationError, match="overlap"):
+            benchmark("x", outputs, wbf, [STANDARD])
+        with pytest.raises(ValidationError, match="overlap"):
+            oracle_outputs({"f.csv": timeline(40)}, wbf)
+
+    def test_adjacent_windows_accepted(self):
+        outputs, wbf = self.corpus([AnomalyWindow(ts(10), ts(20)),
+                                    AnomalyWindow(ts(21), ts(30))])
+        assert optimize_threshold(outputs, wbf, STANDARD)[0] == 1.0
+
+
+class TestScoreGolden:
+    # sha256 of this corpus's results.json; scoring changes must keep it byte-identical
+    RESULTS_SHA256 = "c0eede13e2a69e2e16c1a2c95498cc9409d495b284f0e8b5d153b277c523ec4d"
+
+    def test_results_json_unchanged(self, tmp_path):
+        corpus, scores, results = (tmp_path / d for d in ("corpus", "scores", "results"))
+        assert main(["synth", "--mode", "generate", "--output", str(corpus),
+                     "--files", "3", "--duration", "20", "--sample-rate", "50",
+                     "--seed", "5"]) == 0
+        assert main(["run", "--corpus", str(corpus), "--output", str(scores),
+                     "--detector", "windowed_gaussian", "--seed", "1",
+                     "--param", "window=200"]) == 0
+        assert main(["score", "--scores", str(scores),
+                     "--labels", str(corpus / "labels.json"),
+                     "--output", str(results)]) == 0
+        digest = hashlib.sha256((results / "results.json").read_bytes()).hexdigest()
+        assert digest == self.RESULTS_SHA256
 
 
 class TestNormalize:

@@ -100,6 +100,19 @@ class TestScores:
         with pytest.raises(DataError):
             read_scores(path)
 
+    def test_out_of_order_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("timestamp,value,anomaly_score\n"
+                        "2021-03-01T12:01:00,1.0,0.5\n"
+                        "2021-03-01T12:00:00,2.0,0.5\n")
+        with pytest.raises(StreamError, match="bad.csv:3"):
+            read_scores(path)
+
+    def test_equal_timestamps_accepted(self, tmp_path):
+        path = tmp_path / "s.csv"
+        write_scores(path, [(T0, 1.0), (T0, 2.0)], [0.5, 0.5])
+        assert [t for t, _, _ in read_scores(path)] == [T0, T0]
+
 
 class TestLabelsAndWindows:
     def test_labels_round_trip(self, tmp_path):
