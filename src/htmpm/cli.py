@@ -10,7 +10,6 @@ import argparse
 import hashlib
 import json
 import os
-import pickle
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -27,28 +26,6 @@ from .nab import PROFILES, benchmark, make_windows
 from .psd_synth import DegradationModel, SynthSpec, generate_degradation, psd_map
 from .series import (read_labels, read_scores, read_series, write_labels,
                      write_scores, write_series, write_windows)
-
-MODEL_FORMAT = "htmpm-model"
-MODEL_VERSION = 1
-
-
-def save_model(path, detector) -> None:
-    """Versioned binary model-state file (pickle with a format header)."""
-    payload = {"format": MODEL_FORMAT, "version": MODEL_VERSION,
-               "package_version": __version__, "detector": detector}
-    Path(path).write_bytes(pickle.dumps(payload))
-
-
-def load_model(path):
-    payload = pickle.loads(Path(path).read_bytes())
-    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
-        raise DataError(f"{path}: not a model-state file")
-    if payload.get("version") != MODEL_VERSION:
-        raise DataError(
-            f"{path}: unsupported model version {payload.get('version')}"
-        )
-    return payload["detector"]
-
 
 def _config_hash(cfg: RunConfig) -> str:
     canonical = json.dumps({
@@ -210,15 +187,18 @@ def cmd_synth_map(bearing_path, target_path, output_path, spec: SynthSpec):
 def cmd_inspect(path):
     path = Path(path)
     if path.suffix == ".json":
-        doc = json.loads(path.read_text())
+        try:
+            doc = json.loads(path.read_bytes())
+        except ValueError as exc:  # malformed JSON or undecodable bytes
+            raise DataError(f"{path}: invalid JSON: {exc}") from None
+        if not isinstance(doc, (dict, list)):
+            raise DataError(f"{path}: expected a JSON object or array")
         print(f"{path}: JSON document with {len(doc)} top-level entries")
         return
-    if path.suffix in (".bin", ".model", ".pkl"):
-        detector = load_model(path)
-        print(f"{path}: model state ({type(detector).__name__})")
-        return
-    first = path.read_text().split("\n", 1)[0]
-    rows = read_scores(path) if "anomaly_score" in first else [
+    if path.suffix != ".csv":
+        raise DataError(f"{path}: can inspect .json and .csv files only")
+    first = path.read_bytes().split(b"\n", 1)[0]
+    rows = read_scores(path) if b"anomaly_score" in first else [
         (ts, v, None) for ts, v in read_series(path)
     ]
     values = [v for _, v, _ in rows]
@@ -264,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--bin-size", type=float)
     p_synth.add_argument("--taper", default="hann")
 
-    p_inspect = sub.add_parser("inspect", help="summarize a data or model file")
+    p_inspect = sub.add_parser("inspect", help="summarize a .json or .csv file")
     p_inspect.add_argument("path")
     return parser
 

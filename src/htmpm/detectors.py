@@ -13,7 +13,6 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from . import anomaly
 from .anomaly import LikelihoodState, raw_anomaly_score, update_likelihood
 from .encoder import ScalarEncoderConfig, calibrated_config, encode
 from .errors import DataError, StreamError, ValidationError
@@ -51,7 +50,6 @@ _HTM_PARAMS = {
     "tm_perm_inc", "tm_perm_dec", "tm_perm_punish", "tm_sample_size",
     "tm_max_segments_per_cell", "tm_max_synapses_per_segment",
     "likelihood_capacity", "likelihood_short_window",
-    "likelihood_warm_start",
 }
 
 _ALLOWED_PARAMS = {
@@ -201,9 +199,6 @@ class HtmDetector:
             max_synapses_per_segment=int(p.pop("tm_max_synapses_per_segment", 40)),
         )
         self.use_likelihood = use_likelihood
-        # warm start: likelihood history accumulates through the training
-        # prefix as well, not only the scored test stretch
-        self.warm_start = bool(p.pop("likelihood_warm_start", True))
         self.likelihood_state = LikelihoodState(
             capacity=int(p.pop("likelihood_capacity", 1000)),
             short_window=int(p.pop("likelihood_short_window", 10)),

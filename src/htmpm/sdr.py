@@ -48,9 +48,6 @@ class Sdr:
         """Fraction of bits active, exact."""
         return Fraction(len(self.active), self.size_n)
 
-    def as_set(self) -> frozenset[int]:
-        return frozenset(self.active)
-
 
 def overlap(a: Sdr, b: Sdr) -> int:
     """Number of bits active in both vectors."""

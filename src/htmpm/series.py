@@ -34,9 +34,17 @@ def format_timestamp(ts: datetime) -> str:
     return ts.isoformat()
 
 
+def _read_text(path) -> str:
+    """A file's text as UTF-8; undecodable bytes are a data error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def read_series(path) -> list[tuple[datetime, float]]:
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines or lines[0] != SERIES_HEADER:
         found = lines[0] if lines else "<empty file>"
         raise DataError(f"{path}: expected header {SERIES_HEADER!r}, found {found!r}")
@@ -81,7 +89,7 @@ def write_scores(path, records, scores) -> None:
 
 def read_scores(path) -> list[tuple[datetime, float, float]]:
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines or lines[0] != SCORES_HEADER:
         found = lines[0] if lines else "<empty file>"
         raise DataError(f"{path}: expected header {SCORES_HEADER!r}, found {found!r}")
@@ -109,7 +117,7 @@ def read_scores(path) -> list[tuple[datetime, float, float]]:
 def read_labels(path) -> dict[str, list[datetime]]:
     """JSON map: file name -> list of anomaly instants."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):

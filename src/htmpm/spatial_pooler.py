@@ -67,11 +67,8 @@ class SpatialPooler:
         rng = np.random.default_rng(seed)
         pool_size = max(1, int(round(potential_fraction * n_input)))
         self.potential = np.zeros((n_columns, n_input), dtype=bool)
-        self._pool_idx = np.empty((n_columns, pool_size), dtype=np.int64)
         for c in range(n_columns):
-            pool = np.sort(rng.choice(n_input, size=pool_size, replace=False))
-            self.potential[c, pool] = True
-            self._pool_idx[c] = pool
+            self.potential[c, rng.choice(n_input, size=pool_size, replace=False)] = True
         # permanences start uniformly around the connect threshold, so about
         # half the potential pool is connected before any learning
         self.permanences = np.where(

@@ -3,11 +3,19 @@
 Cells are addressed flat as ``column * m_cells + i``. Distal segments live
 in flat numpy arrays (one row per segment, fixed synapse width, padded with
 a sentinel cell id) so the per-record predict and learning passes are
-vectorized. A cell becomes predictive when at least one of its segments
-has strictly more than ``activation_threshold`` established synapses onto
-currently active cells (permanence below the connect threshold counts as
-zero). Active columns with no predicted cell burst: every cell in the
-column activates.
+vectorized. ``seg_cell`` is the only record of which cell owns a segment
+(-1 marks a free row): a cell's segments are its rows in row order, so
+every tie among one cell's segments (best matching segment, least
+recently used victim) goes to the lowest row. Cell activity is held only
+in arrays: a mask of active cells, the sorted winner cells, and the
+predictive segment rows with their synapse counts; the cell and column
+sets the queries return are derived from them.
+
+A cell becomes predictive when at least one of its segments has strictly
+more than ``activation_threshold`` established synapses onto currently
+active cells (permanence below the connect threshold counts as zero).
+Active columns with no predicted cell burst: every cell in the column
+activates.
 
 Learning is Hebbian with asymmetric rates: segments that correctly
 predicted are reinforced (inc) and decayed (dec); segments that predicted
@@ -75,215 +83,170 @@ class TemporalMemory:
         self.seg_presyn = np.full((cap, max_synapses_per_segment),
                                   self._sentinel, dtype=np.int32)
         self.seg_perm = np.zeros((cap, max_synapses_per_segment), dtype=np.float32)
-        self.seg_cell = np.full(cap, -1, dtype=np.int32)
+        self.seg_cell = np.full(cap, -1, dtype=np.int32)  # owner cell, -1 = free row
         self.seg_last_used = np.zeros(cap, dtype=np.int64)
         self._n_rows = 0               # high-water mark of allocated rows
         self._free_rows: list[int] = []
-        self.segments_by_cell: dict[int, list[int]] = {}
-        self._n_segs_per_cell = np.zeros(self.n_cells, dtype=np.int32)
-
-        self.active_cells: set[int] = set()
-        self.winner_cells: set[int] = set()
-        self.predictive_cells: set[int] = set()
-        self._active_arr = np.zeros(self.n_cells + 1, dtype=bool)
-        self._active_rows: np.ndarray = np.empty(0, dtype=np.int64)
-        self._active_counts: np.ndarray = np.empty(0, dtype=np.int64)
-        self._matching_counts: np.ndarray = np.empty(0, dtype=np.int64)
         self._step = 0
+        self.reset()
 
     # ------------------------------------------------------------------
     # stepping
 
     def step(self, cols: ColumnActivation, learn: bool = True) -> None:
-        """Run one full activate -> learn -> predict cycle."""
-        self._step += 1
-        prev_active_arr = self._active_arr
-        prev_winners = self.winner_cells
-        prev_predictive = self.predictive_cells
-        prev_active_rows = self._active_rows
-        prev_active_counts = self._active_counts
-        prev_matching_counts = self._matching_counts
+        """Run one full activate -> learn -> predict cycle.
 
-        active, winners, bursting = self._activate(
-            cols, prev_predictive, prev_active_counts, prev_matching_counts
-        )
+        Eq.-(3) semantics: predicted cells of active columns activate;
+        columns with no predicted cell burst. Activation and learning read
+        the previous step's activity, which is replaced only afterwards.
+        """
+        self._step += 1
+        m = self.m_cells
+        columns = np.asarray(cols.active_columns, dtype=np.int64)
+        rows = self._active_rows  # the previous step's predictive segments
+        owners = self.seg_cell[rows]
+        # a mask over columns, plus a spare last entry that stays False for
+        # the column -1 that a free row's owner -1 maps to
+        col_mask = np.zeros(self.n_columns + 1, dtype=bool)
+        col_mask[columns] = True
+        correct = col_mask[owners // m]  # predicted a cell of an active column
+        predicted = owners[correct]
+        col_mask[predicted // m] = False  # now: the active columns that burst
+        bursting = columns[col_mask[columns]]
+        winners = self._predicted_winners(predicted, self._active_counts[rows[correct]])
+        burst_winners, matching_rows = self._burst_winners(bursting)
         if learn:
-            self._learn(
-                cols, active, winners, bursting,
-                prev_active_arr, prev_winners,
-                prev_active_rows, prev_matching_counts,
-            )
-        self.active_cells = active
-        self.winner_cells = winners
-        arr = np.zeros(self.n_cells + 1, dtype=bool)
-        if active:
-            arr[np.fromiter(active, dtype=np.int64, count=len(active))] = True
-        self._active_arr = arr
+            self._learn(rows[correct], rows[~correct], burst_winners, matching_rows)
+        self._active_arr[:] = False
+        self._active_arr[predicted] = True
+        self._active_arr[:-1].reshape(self.n_columns, m)[bursting] = True
+        self._winners = np.sort(np.concatenate([winners, burst_winners]))
         self._compute_predictive()
 
-    def _activate(self, cols, prev_predictive, prev_active_counts,
-                  prev_matching_counts):
-        """Eq.-(3) semantics: predicted cells of active columns activate;
-        columns with no predicted cell burst."""
+    def _predicted_winners(self, cells, strengths):
+        """Per predicted column, the cell owning the segment with the most
+        active synapses (cells[i] owns one with strengths[i]); ties go to
+        the lowest cell."""
+        columns = cells // self.m_cells
+        order = np.lexsort((cells, -strengths, columns))
+        cells, columns = cells[order], columns[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = columns[1:] != columns[:-1]
+        return cells[first]
+
+    def _burst_winners(self, bursting):
+        """Per bursting column, the cell with the best matching segment; ties
+        go to the cell with the fewest segments, then to the lowest index.
+        Also returns each winner's best matching row (most matching synapses,
+        ties to the lowest row), or -1 where no segment of it matches."""
+        if not len(bursting):
+            return bursting, bursting  # no winners, no matching rows
         m = self.m_cells
-        active: set[int] = set()
-        winners: set[int] = set()
-        bursting: list[int] = []
-        cell_match = None
-        predictive_by_col: dict[int, list[int]] = {}
-        for cell in prev_predictive:
-            predictive_by_col.setdefault(cell // m, []).append(cell)
-        for col in cols.active_columns:
-            predicted = predictive_by_col.get(col)
-            if predicted:
-                active.update(predicted)
-                winners.add(self._best_predicted(predicted, prev_active_counts))
-            else:
-                base = col * m
-                active.update(range(base, base + m))
-                bursting.append(col)
-                if cell_match is None:
-                    cell_match = self._cell_best_match(prev_matching_counts)
-                winners.add(self._burst_winner(col, cell_match))
-        return active, winners, bursting
+        slot = np.full(self.n_columns + 1, -1)  # bursting column -> table row
+        slot[bursting] = np.arange(len(bursting))
+        owners = self.seg_cell[:self._n_rows]
+        rows = np.flatnonzero(slot[owners // m] >= 0)
+        cells = owners[rows]
+        match = np.zeros(len(rows), dtype=np.int64)
+        counted = rows < len(self._matching_counts)
+        match[counted] = self._matching_counts[rows[counted]]
+        b, i = slot[cells // m], cells % m
+        best = np.zeros((len(bursting), m), dtype=np.int64)
+        np.maximum.at(best, (b, i), match)
+        n_segs = np.zeros((len(bursting), m), dtype=np.int64)
+        np.add.at(n_segs, (b, i), 1)
+        top = best == best.max(axis=1, keepdims=True)
+        pick = np.where(top, n_segs, np.iinfo(np.int64).max).argmin(axis=1)
+        is_best = (i == pick[b]) & (match == best[b, i]) & (match > 0)
+        # rows ascend, so each column's first occurrence is its lowest row
+        found, first = np.unique(b[is_best], return_index=True)
+        matching_rows = np.full(len(bursting), -1)
+        matching_rows[found] = rows[is_best][first]
+        return bursting * m + pick, matching_rows
 
-    def _best_predicted(self, predicted, prev_active_counts):
-        if len(predicted) == 1:
-            return predicted[0]
-
-        def strength(cell):
-            rows = self.segments_by_cell.get(cell, ())
-            return max((int(prev_active_counts[r]) for r in rows), default=0)
-        return min(predicted, key=lambda c: (-strength(c), c))
-
-    def _cell_best_match(self, prev_matching_counts):
-        """Per-cell maximum of the previous step's matching synapse counts."""
-        cell_match = np.zeros(self.n_cells, dtype=np.int64)
-        limit = len(prev_matching_counts)
-        if limit:
-            cells = self.seg_cell[:limit]
-            valid = cells >= 0
-            np.maximum.at(cell_match, cells[valid], prev_matching_counts[:limit][valid])
-        return cell_match
-
-    def _burst_winner(self, col, cell_match):
-        """Cell with the best matching segment; ties go to the cell with the
-        fewest segments, then to the lowest index."""
-        base = col * self.m_cells
-        m = self.m_cells
-        match = cell_match[base:base + m]
-        nsegs = self._n_segs_per_cell[base:base + m]
-        i = np.lexsort((np.arange(m), nsegs, -match))[0]
-        return base + int(i)
-
-    def _best_matching_row(self, cell, prev_matching_counts):
-        limit = len(prev_matching_counts)
-        best, best_n = None, 0
-        for r in self.segments_by_cell.get(cell, ()):
-            n = int(prev_matching_counts[r]) if r < limit else 0
-            if n > best_n:
-                best, best_n = r, n
-        return best
-
-    def _learn(self, cols, active, winners, bursting,
-               prev_active_arr, prev_winners, prev_active_rows,
-               prev_matching_counts):
+    def _learn(self, correct_rows, wrong_rows, burst_winners, matching_rows):
+        """(a) Segments that correctly predicted are reinforced; (b) segments
+        that predicted a column that stayed silent are punished; (c) each
+        bursting column's winner reinforces its best matching segment, or
+        gets a new one, and grows it toward the previous winner cells."""
         if self.perm_inc == 0 and self.perm_dec == 0 and self.perm_punish == 0:
             return
-        active_cols = set(cols.active_columns)
-        reinforce, punish = [], []
-        for r in prev_active_rows:
-            owner = int(self.seg_cell[r])
-            # (a) segments that correctly predicted a now-active cell
-            if owner in active:
-                reinforce.append(r)
-            # (b) segments that predicted a cell whose column stayed silent
-            elif owner // self.m_cells not in active_cols:
-                punish.append(r)
-        # (c) bursting columns: the winner grows or reinforces a segment
-        # sampling previous winner cells
-        grow_rows: list[int] = []
-        new_rows: list[int] = []
-        if bursting:
-            sorted_prev_winners = sorted(prev_winners)
-            winner_by_col = {w // self.m_cells: w for w in winners}
-            for col in bursting:
-                winner = winner_by_col[col]
-                row = self._best_matching_row(winner, prev_matching_counts)
-                if row is not None:
-                    reinforce.append(row)
-                    grow_rows.append(row)
-                elif sorted_prev_winners:
-                    new_rows.append(self.create_segment(winner))
-        if reinforce:
-            self._adapt_rows(np.asarray(reinforce), prev_active_arr)
-        if punish:
-            self._punish_rows(np.asarray(punish))
-        if bursting and sorted_prev_winners:
-            for row in grow_rows + new_rows:
-                self._grow(row, sorted_prev_winners)
-
-    def _adapt_rows(self, rows, prev_active_arr):
-        """inc on synapses from previously active cells, dec on the rest;
-        synapses driven to zero are destroyed."""
-        self.seg_last_used[rows] = self._step
-        presyn = self.seg_presyn[rows]
-        perm = self.seg_perm[rows]
-        valid = presyn != self._sentinel
-        was_active = prev_active_arr[presyn]
+        prev_winners = self._winners
+        grow = matching_rows[matching_rows >= 0]
+        # a winner with no matching segment gets a new one when there are
+        # previous winners for it to grow onto
+        lacking = burst_winners[matching_rows < 0] if len(prev_winners) else []
+        new = np.array([self.create_segment(int(c)) for c in lacking], dtype=np.int64)
+        reinforce = np.concatenate([correct_rows, grow])
+        self.seg_last_used[reinforce] = self._step
+        rows = np.concatenate([reinforce, wrong_rows])
+        was_active = self._active_arr[self.seg_presyn[rows]]
         delta = np.where(was_active, self.perm_inc, -self.perm_dec)
-        updated = np.clip(perm + np.where(valid, delta, 0.0), 0.0, 1.0)
-        dead = valid & (updated <= 0.0)
-        presyn[dead] = self._sentinel
-        updated[dead] = 0.0
-        self.seg_presyn[rows] = presyn
-        self.seg_perm[rows] = updated
+        delta[len(reinforce):] = -self.perm_punish  # the wrong predictions
+        self._adjust(rows, delta)
+        growing = np.concatenate([grow, new])
+        if len(growing) and len(prev_winners):
+            self._grow(growing, prev_winners)
 
-    def _punish_rows(self, rows):
+    def _adjust(self, rows, delta):
+        """Add delta to the live synapses of rows, clipped to [0, 1];
+        synapses driven to zero are destroyed."""
         presyn = self.seg_presyn[rows]
-        perm = self.seg_perm[rows]
-        valid = presyn != self._sentinel
-        updated = np.clip(perm - np.where(valid, self.perm_punish, 0.0), 0.0, 1.0)
-        dead = valid & (updated <= 0.0)
+        live = presyn != self._sentinel
+        updated = np.clip(self.seg_perm[rows] + np.where(live, delta, 0.0), 0.0, 1.0)
+        dead = live & (updated <= 0.0)
         presyn[dead] = self._sentinel
         updated[dead] = 0.0
         self.seg_presyn[rows] = presyn
         self.seg_perm[rows] = updated
 
-    def _grow(self, row, sorted_prev_winners):
-        """Add synapses to previous winners until the segment samples
-        sample_size of them, respecting the per-segment cap."""
-        presyn = self.seg_presyn[row]
-        existing = set(int(p) for p in presyn if p != self._sentinel)
-        have = sum(1 for w in sorted_prev_winners if w in existing)
-        budget = self.sample_size - have
-        if budget <= 0:
-            return
-        slots = np.nonzero(presyn == self._sentinel)[0]
-        own_col = int(self.seg_cell[row]) // self.m_cells
-        slot_i = 0
-        for w in sorted_prev_winners:
-            if budget <= 0 or slot_i >= len(slots):
-                break
-            if w in existing or w // self.m_cells == own_col:
-                continue
-            s = slots[slot_i]
-            self.seg_presyn[row, s] = w
-            self.seg_perm[row, s] = self.initial_permanence
-            slot_i += 1
-            budget -= 1
+    def _grow(self, rows, winners):
+        """Give each row synapses onto the sorted winner cells it lacks,
+        lowest cell first and skipping its own column, until it samples
+        sample_size winners or has no free slot left."""
+        presyn = self.seg_presyn[rows]
+        pos = np.minimum(np.searchsorted(winners, presyn), len(winners) - 1)
+        found = winners[pos] == presyn
+        has = np.zeros((len(rows), len(winners)), dtype=bool)
+        has[np.nonzero(found)[0], pos[found]] = True
+        own_col = self.seg_cell[rows] // self.m_cells
+        new = ~has & (winners // self.m_cells != own_col[:, None])
+        free = presyn == self._sentinel
+        budget = np.minimum(self.sample_size - has.sum(axis=1), free.sum(axis=1))
+        rank = np.cumsum(new, axis=1) - 1
+        take_row, take_winner = np.nonzero(new & (rank < budget[:, None]))
+        # the t-th synapse a row gains goes into its t-th free slot
+        free_slots = np.argsort(~free, axis=1, kind="stable")
+        slots = free_slots[take_row, rank[take_row, take_winner]]
+        self.seg_presyn[rows[take_row], slots] = winners[take_winner]
+        self.seg_perm[rows[take_row], slots] = self.initial_permanence
+
+    def _compute_predictive(self):
+        """Eq.-(2) semantics over the current active cells. Strict '>':
+        a segment with exactly threshold established active synapses does
+        not predict."""
+        n = self._n_rows
+        act = self._active_arr[self.seg_presyn[:n]]
+        established = self.seg_perm[:n] >= self.connect_threshold
+        self._active_counts = np.count_nonzero(act & established, axis=1)
+        self._matching_counts = np.count_nonzero(act, axis=1)
+        self._active_rows = np.flatnonzero(self._active_counts > self.activation_threshold)
 
     # ------------------------------------------------------------------
     # segment bookkeeping
 
+    def segments_of(self, cell: int) -> list[int]:
+        """Row ids of a cell's segments, in row order."""
+        return np.flatnonzero(self.seg_cell[:self._n_rows] == cell).tolist()
+
     def create_segment(self, cell: int, synapses: dict[int, float] | None = None) -> int:
         """Attach a new segment to a cell, evicting the least recently used
-        one when the per-cell cap is reached. Returns the segment's row id.
-        Also used to implant segments in tests and during deserialization."""
-        rows = self.segments_by_cell.setdefault(cell, [])
+        one (ties to the lowest row) when the per-cell cap is reached.
+        Returns the segment's row id. Also used to implant segments in tests
+        and during deserialization."""
+        rows = self.segments_of(cell)
         if len(rows) >= self.max_segments_per_cell:
-            victim = min(rows, key=lambda r: int(self.seg_last_used[r]))
-            self.destroy_segment(victim)
+            self.destroy_segment(rows[int(np.argmin(self.seg_last_used[rows]))])
         if self._free_rows:
             row = self._free_rows.pop()
         else:
@@ -295,8 +258,6 @@ class TemporalMemory:
         self.seg_perm[row] = 0.0
         self.seg_cell[row] = cell
         self.seg_last_used[row] = self._step
-        rows.append(row)
-        self._n_segs_per_cell[cell] += 1
         if synapses:
             if len(synapses) > self.max_synapses_per_segment:
                 raise ValidationError("too many synapses for one segment")
@@ -306,9 +267,8 @@ class TemporalMemory:
         return row
 
     def destroy_segment(self, row: int) -> None:
-        cell = int(self.seg_cell[row])
-        self.segments_by_cell[cell].remove(row)
-        self._n_segs_per_cell[cell] -= 1
+        if self.seg_cell[row] < 0:
+            raise ValidationError(f"segment row {row} is not in use")
         self.seg_cell[row] = -1
         self.seg_presyn[row] = self._sentinel
         self.seg_perm[row] = 0.0
@@ -337,50 +297,37 @@ class TemporalMemory:
             for p, q in zip(presyn[live], self.seg_perm[row][live])
         }
 
-    def _compute_predictive(self):
-        """Eq.-(2) semantics over the current active cells. Strict '>':
-        a segment with exactly threshold established active synapses does
-        not predict."""
-        n = self._n_rows
-        if n == 0 or not self.active_cells:
-            self.predictive_cells = set()
-            self._active_rows = np.empty(0, dtype=np.int64)
-            self._active_counts = np.empty(0, dtype=np.int64)
-            self._matching_counts = np.empty(0, dtype=np.int64)
-            return
-        presyn = self.seg_presyn[:n]
-        act = self._active_arr[presyn]
-        established = self.seg_perm[:n] >= self.connect_threshold
-        active_counts = np.count_nonzero(act & established, axis=1)
-        matching_counts = np.count_nonzero(act, axis=1)
-        rows = np.nonzero(active_counts > self.activation_threshold)[0]
-        self.predictive_cells = {
-            int(c) for c in self.seg_cell[rows] if c >= 0
-        }
-        self._active_rows = rows
-        self._active_counts = active_counts
-        self._matching_counts = matching_counts
-
     # ------------------------------------------------------------------
     # queries
 
+    def _predictive(self) -> np.ndarray:
+        """Owners of the predictive segments; a row freed since is skipped."""
+        cells = self.seg_cell[self._active_rows]
+        return cells[cells >= 0]
+
+    @property
+    def active_cells(self) -> set[int]:
+        return set(np.flatnonzero(self._active_arr).tolist())
+
+    @property
+    def winner_cells(self) -> set[int]:
+        return set(self._winners.tolist())
+
+    @property
+    def predictive_cells(self) -> set[int]:
+        return set(self._predictive().tolist())
+
     @property
     def predictive_columns(self) -> set[int]:
-        return {cell // self.m_cells for cell in self.predictive_cells}
-
-    @property
-    def active_columns(self) -> set[int]:
-        return {cell // self.m_cells for cell in self.active_cells}
+        return set((self._predictive() // self.m_cells).tolist())
 
     def segment_count(self) -> int:
-        return sum(len(v) for v in self.segments_by_cell.values())
+        return int(np.count_nonzero(self.seg_cell[:self._n_rows] >= 0))
 
     def reset(self) -> None:
         """Sequence boundary: clear activity but keep everything learned."""
-        self.active_cells = set()
-        self.winner_cells = set()
-        self.predictive_cells = set()
         self._active_arr = np.zeros(self.n_cells + 1, dtype=bool)
+        self._winners = np.empty(0, dtype=np.int64)
         self._active_rows = np.empty(0, dtype=np.int64)
         self._active_counts = np.empty(0, dtype=np.int64)
         self._matching_counts = np.empty(0, dtype=np.int64)
@@ -389,6 +336,7 @@ class TemporalMemory:
     # serialization
 
     def state_dict(self) -> dict:
+        live = np.flatnonzero(self.seg_cell[:self._n_rows] >= 0)
         return {
             "params": {
                 "n_columns": self.n_columns,
@@ -404,9 +352,8 @@ class TemporalMemory:
                 "max_synapses_per_segment": self.max_synapses_per_segment,
             },
             "segments": [
-                [cell, sorted(self.synapses_of(row).items())]
-                for cell, rows in sorted(self.segments_by_cell.items())
-                for row in rows
+                [int(self.seg_cell[row]), sorted(self.synapses_of(row).items())]
+                for row in live[np.argsort(self.seg_cell[live], kind="stable")]
             ],
         }
 

@@ -1,13 +1,12 @@
-"""End-to-end harness: run, score, synth, inspect, model files."""
+"""End-to-end harness: run, score, synth, inspect."""
 
 import json
+import pickle
 from datetime import datetime, timedelta
 
 import pytest
 
-from htmpm.cli import load_model, main, save_model
-from htmpm.detectors import DetectorConfig, build_detector
-from htmpm.errors import DataError
+from htmpm.cli import main
 from htmpm.series import (read_scores, read_series, write_labels,
                           write_series)
 
@@ -106,6 +105,14 @@ class TestRunCommand:
                    "--output", str(tmp_path / "out"), "--detector", "null"])
         assert rc == 2
 
+    def test_non_utf8_series_exits_2(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "bad.csv").write_bytes(b"timestamp,value\n2021-01-01T00:00:00,\xff\n")
+        rc = main(["run", "--corpus", str(corpus),
+                   "--output", str(tmp_path / "out"), "--detector", "null"])
+        assert rc == 2
+
     def test_empty_corpus_exits_2(self, tmp_path):
         (tmp_path / "corpus").mkdir()
         rc = main(["run", "--corpus", str(tmp_path / "corpus"),
@@ -190,6 +197,27 @@ class TestScoreCommand:
                    "--labels", str(labels), "--output", str(tmp_path / "r")])
         assert rc == 2
 
+    def test_non_utf8_score_file_exits_2(self, tmp_path):
+        corpus, labels = make_corpus(tmp_path)
+        scores_dir = tmp_path / "scores"
+        main(["run", "--corpus", str(corpus), "--output", str(scores_dir),
+              "--detector", "null"])
+        with open(scores_dir / "series_0.csv", "ab") as f:
+            f.write(b"2021-01-02T00:00:00,1.0,\xff\n")
+        rc = main(["score", "--scores", str(scores_dir),
+                   "--labels", str(labels), "--output", str(tmp_path / "r")])
+        assert rc == 2
+
+    def test_non_utf8_labels_exit_2(self, tmp_path):
+        corpus, labels = make_corpus(tmp_path)
+        scores_dir = tmp_path / "scores"
+        main(["run", "--corpus", str(corpus), "--output", str(scores_dir),
+              "--detector", "null"])
+        labels.write_bytes(b'{"series_0.csv": ["\xff"]}')
+        rc = main(["score", "--scores", str(scores_dir),
+                   "--labels", str(labels), "--output", str(tmp_path / "r")])
+        assert rc == 2
+
     def test_table_printed(self, tmp_path, capsys):
         self.run_and_score(tmp_path, "null")
         out = capsys.readouterr().out
@@ -257,21 +285,34 @@ class TestInspectCommand:
         assert rc == 0
         assert "2 top-level entries" in capsys.readouterr().out
 
+    def test_malformed_json_exits_2(self, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text('{"series_0.csv": [')
+        assert main(["inspect", str(path)]) == 2
 
-class TestModelFiles:
-    def test_save_load_round_trip(self, tmp_path):
-        det = build_detector(DetectorConfig("htm_hd", {}, seed=2))
-        det.calibrate([0.0, 1.0, 2.0])
-        det.step(T0, 1.0)
-        path = tmp_path / "model.bin"
-        save_model(path, det)
-        loaded = load_model(path)
-        assert loaded.step(T0 + timedelta(minutes=1), 1.5) == det.step(
-            T0 + timedelta(minutes=1), 1.5)
+    def test_json_scalar_exits_2(self, tmp_path):
+        path = tmp_path / "scalar.json"
+        path.write_text("5\n")
+        assert main(["inspect", str(path)]) == 2
 
-    def test_reject_foreign_file(self, tmp_path):
-        import pickle
-        path = tmp_path / "junk.bin"
-        path.write_bytes(pickle.dumps({"something": "else"}))
-        with pytest.raises(DataError):
-            load_model(path)
+    @pytest.mark.parametrize("suffix", [".pkl", ".bin", ".model", ".txt"])
+    def test_other_suffixes_exit_2_without_unpickling(self, tmp_path, suffix):
+        # unpickling this payload would create the marker file
+        marker = tmp_path / "marker"
+        path = tmp_path / f"model{suffix}"
+        path.write_bytes(pickle.dumps(_CreatesFileWhenUnpickled(str(marker))))
+        assert main(["inspect", str(path)]) == 2
+        assert not marker.exists()
+
+    def test_payload_would_create_marker(self, tmp_path):
+        marker = tmp_path / "marker"
+        pickle.loads(pickle.dumps(_CreatesFileWhenUnpickled(str(marker)))).close()
+        assert marker.exists()
+
+
+class _CreatesFileWhenUnpickled:
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))

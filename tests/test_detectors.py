@@ -29,6 +29,8 @@ class TestDetectorConfig:
             DetectorConfig("null", {"window": 5})
         with pytest.raises(ValidationError):
             DetectorConfig("htm_hd", {"boost": 2.0})
+        with pytest.raises(ValidationError):  # removed: it never did anything
+            DetectorConfig("htm_hd", {"likelihood_warm_start": True})
 
     def test_known_parameters_accepted(self):
         DetectorConfig("windowed_gaussian", {"window": 100})

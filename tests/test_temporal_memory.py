@@ -1,7 +1,12 @@
 """Temporal memory: prediction, bursting activation, distal learning."""
 
+import copy
+import hashlib
+
+import numpy as np
 import pytest
 
+from htmpm.cli import main
 from htmpm.errors import ValidationError
 from htmpm.spatial_pooler import ColumnActivation
 from htmpm.temporal_memory import TemporalMemory
@@ -94,6 +99,26 @@ class TestActivation:
         # cells 1 and 2 have no segments; tie resolves to cell 1
         assert 1 in tm.winner_cells
 
+    def predicted_pair(self, strength4, strength5):
+        """Cells 4 and 5 (column 1) predicted by segments with the given
+        numbers of active synapses onto column 0's cells."""
+        tm = TemporalMemory(n_columns=2, m_cells=3, activation_threshold=0,
+                            perm_punish=0.01)
+        tm.create_segment(4, {c: 0.6 for c in range(strength4)})
+        tm.create_segment(5, {c: 0.6 for c in range(strength5)})
+        tm.step(ColumnActivation((0,), 2, 1))
+        assert tm.predictive_cells == {4, 5}
+        tm.step(ColumnActivation((1,), 2, 1))
+        assert tm.active_cells == {4, 5}
+        return tm
+
+    def test_predicted_winner_has_strongest_segment(self):
+        assert self.predicted_pair(1, 3).winner_cells == {5}
+        assert self.predicted_pair(3, 1).winner_cells == {4}
+
+    def test_predicted_winner_tie_goes_to_lower_cell(self):
+        assert self.predicted_pair(2, 2).winner_cells == {4}
+
 
 class TestLearning:
     def make_primed(self):
@@ -149,7 +174,7 @@ class TestLearning:
         assert tm.segment_count() == 0
         tm.step(cols([2]))          # burst with previous winners {0, 1}
         assert tm.segment_count() == 1
-        row = tm.segments_by_cell[2][0]
+        row = tm.segments_of(2)[0]
         assert tm.synapses_of(row) == {
             0: pytest.approx(0.21), 1: pytest.approx(0.21)}
 
@@ -157,7 +182,7 @@ class TestLearning:
         tm = flat_tm()
         tm.step(cols([0, 2]))
         tm.step(cols([2]))
-        row = tm.segments_by_cell[2][0]
+        row = tm.segments_of(2)[0]
         assert 2 not in tm.synapses_of(row)
 
     def test_dead_synapses_destroyed(self):
@@ -177,10 +202,23 @@ class TestSegmentBookkeeping:
         tm.create_segment(0, {2: 0.5})
         tm._step = 9
         tm.create_segment(0, {3: 0.5})
-        rows = tm.segments_by_cell[0]
+        rows = tm.segments_of(0)
         presyn_sets = {frozenset(tm.synapses_of(r)) for r in rows}
         # the oldest segment (synapse onto cell 1) was evicted
         assert presyn_sets == {frozenset({2}), frozenset({3})}
+
+    def test_lru_tie_evicts_lowest_row(self):
+        tm = flat_tm(max_segments_per_cell=2)
+        other = tm.create_segment(1, {2: 0.5})
+        older = tm.create_segment(0, {1: 0.5})
+        tm.destroy_segment(other)
+        newer = tm.create_segment(0, {2: 0.5})  # reuses the freed row 0
+        assert (older, newer) == (1, 0)
+        assert tm.segments_of(0) == [0, 1] and tm.segments_of(1) == []
+        # equal last use: the victim is the lowest row, not the older segment
+        tm.create_segment(0, {3: 0.5})
+        presyn_sets = {frozenset(tm.synapses_of(r)) for r in tm.segments_of(0)}
+        assert presyn_sets == {frozenset({1}), frozenset({3})}
 
     def test_row_recycling(self):
         tm = flat_tm()
@@ -188,10 +226,97 @@ class TestSegmentBookkeeping:
         tm.destroy_segment(row)
         assert tm.create_segment(1, {2: 0.5}) == row
 
+    def test_destroying_a_free_row_rejected(self):
+        tm = flat_tm()
+        row = tm.create_segment(0, {1: 0.5})
+        tm.destroy_segment(row)
+        with pytest.raises(ValidationError):
+            tm.destroy_segment(row)
+
     def test_too_many_synapses_rejected(self):
         tm = flat_tm(max_synapses_per_segment=2)
         with pytest.raises(ValidationError):
             tm.create_segment(0, {1: 0.5, 2: 0.5, 3: 0.5})
+
+
+def random_tm(seed):
+    """A TM with random segments whose free synapse slots are scattered,
+    plus random matching counts for the first rows."""
+    rng = np.random.default_rng(seed)
+    tm = TemporalMemory(n_columns=6, m_cells=3, activation_threshold=0,
+                        sample_size=int(rng.integers(1, 6)),
+                        max_synapses_per_segment=6)
+    for _ in range(int(rng.integers(1, 30))):
+        n_syn = int(rng.integers(0, 7))
+        cells = rng.choice(tm.n_cells, size=n_syn, replace=False)
+        row = tm.create_segment(int(rng.integers(tm.n_cells)),
+                                {int(c): 0.5 for c in cells})
+        tm.seg_presyn[row, rng.random(6) < 0.3] = tm._sentinel
+    tm._matching_counts = rng.integers(0, 4, size=int(rng.integers(0, tm._n_rows + 1)))
+    return tm, rng
+
+
+def loop_grow(tm, row, winners):
+    """Per-row reference for TemporalMemory._grow."""
+    presyn = tm.seg_presyn[row]
+    existing = {int(p) for p in presyn if p != tm._sentinel}
+    budget = tm.sample_size - sum(1 for w in winners if w in existing)
+    slots = [s for s in range(len(presyn)) if presyn[s] == tm._sentinel]
+    own_col = int(tm.seg_cell[row]) // tm.m_cells
+    for w in winners:
+        if budget <= 0 or not slots:
+            break
+        if w in existing or w // tm.m_cells == own_col:
+            continue
+        s = slots.pop(0)
+        tm.seg_presyn[row, s] = w
+        tm.seg_perm[row, s] = tm.initial_permanence
+        budget -= 1
+
+
+def loop_burst_winners(tm, bursting):
+    """Per-column reference for TemporalMemory._burst_winners."""
+    counts = tm._matching_counts
+
+    def match(row):
+        return int(counts[row]) if row < len(counts) else 0
+
+    winners, matching_rows = [], []
+    for col in bursting:
+        cells = range(col * tm.m_cells, (col + 1) * tm.m_cells)
+        winner = min(cells, key=lambda c: (
+            -max((match(r) for r in tm.segments_of(c)), default=0),
+            len(tm.segments_of(c)), c))
+        best, best_n = -1, 0
+        for r in tm.segments_of(winner):
+            if match(r) > best_n:
+                best, best_n = r, match(r)
+        winners.append(winner)
+        matching_rows.append(best)
+    return winners, matching_rows
+
+
+class TestVectorizedMatchesLoops:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_grow(self, seed):
+        tm, rng = random_tm(seed)
+        rows = rng.choice(tm._n_rows, size=int(rng.integers(1, tm._n_rows + 1)),
+                          replace=False)
+        winners = np.sort(rng.choice(tm.n_cells, size=int(rng.integers(1, 10)),
+                                     replace=False))
+        ref = copy.deepcopy(tm)
+        for row in rows:
+            loop_grow(ref, int(row), [int(w) for w in winners])
+        tm._grow(rows, winners)
+        assert np.array_equal(tm.seg_presyn, ref.seg_presyn)
+        assert np.array_equal(tm.seg_perm, ref.seg_perm)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_burst_winners(self, seed):
+        tm, rng = random_tm(seed)
+        bursting = rng.choice(tm.n_columns, size=int(rng.integers(1, 7)), replace=False)
+        winners, matching_rows = tm._burst_winners(bursting)
+        assert (winners.tolist(), matching_rows.tolist()) == loop_burst_winners(tm, bursting)
 
 
 class TestReset:
@@ -240,3 +365,24 @@ class TestSerialization:
         clone = TemporalMemory.from_state_dict(state)
         assert clone.state_dict() == state
         assert clone.segment_count() == tm.segment_count()
+
+
+class TestScoresGolden:
+    # sha256 of each htm_hd score CSV for this corpus, computed before the
+    # temporal memory's bookkeeping was rewritten; TM refactors must keep
+    # them byte-identical
+    SCORES_SHA256 = {
+        "degradation_00.csv": "bfdd32ebb99c7898696280085de55b978905aa625a2c353da16020a54796de9c",
+        "degradation_01.csv": "d1b2c01e3618ef627bfc51ea2b66ba9c0c453a5b2c515f06bf32af64ce477c26",
+    }
+
+    def test_htm_hd_scores_unchanged(self, tmp_path):
+        corpus, scores = tmp_path / "corpus", tmp_path / "scores"
+        assert main(["synth", "--mode", "generate", "--output", str(corpus),
+                     "--files", "2", "--duration", "20", "--sample-rate", "50",
+                     "--seed", "7"]) == 0
+        assert main(["run", "--corpus", str(corpus), "--output", str(scores),
+                     "--detector", "htm_hd", "--seed", "1"]) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in sorted(scores.glob("*.csv"))}
+        assert digests == self.SCORES_SHA256
