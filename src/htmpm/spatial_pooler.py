@@ -5,6 +5,23 @@ covering half the input by default. A column's score is the count of its
 connected synapses that land on active input bits; the top-k columns by
 score win, with ties broken by lowest column index. Hebbian learning nudges
 permanences of active columns toward the current input.
+
+Layout. Only the pool is stored. ``pool[c]`` holds column c's sorted input
+indices (``n_columns x pool_size``, in the smallest unsigned type that fits)
+and ``permanences[c, j]`` is the permanence of the synapse onto input
+``pool[c, j]``. With ``potential_fraction=1.0`` the pool is every input in
+order, so this layout is the dense ``n_columns x n_input`` one.
+
+Connections are derived. ``_connected_t[i, c]`` is 1 when column c has a
+synapse onto input i at or above the connect threshold. It is transposed
+so that the overlap is the sum of the active inputs' rows. Learning
+rewrites only the entries whose permanence crossed the threshold, found by
+comparing the rows' permanences before and after; ``rebuild_connections``
+derives the whole matrix again after a direct edit of ``permanences``.
+
+Permanences stay float64: float32 rounds the ``+inc``/``-dec`` steps
+differently, which moves some synapses across the threshold at other
+records and so changes the scores.
 """
 
 from __future__ import annotations
@@ -15,6 +32,10 @@ import numpy as np
 
 from .errors import DimensionError, ValidationError
 from .sdr import Sdr
+
+# values per uniform draw in __init__: row chunks of the n_columns x n_input
+# draw give the same stream as one draw, without holding the whole matrix
+_DRAW_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -66,24 +87,35 @@ class SpatialPooler:
 
         rng = np.random.default_rng(seed)
         pool_size = max(1, int(round(potential_fraction * n_input)))
-        self.potential = np.zeros((n_columns, n_input), dtype=bool)
+        self.pool = np.empty((n_columns, pool_size), dtype=np.min_scalar_type(n_input - 1))
         for c in range(n_columns):
-            self.potential[c, rng.choice(n_input, size=pool_size, replace=False)] = True
+            self.pool[c] = rng.choice(n_input, size=pool_size, replace=False)
+        self.pool.sort(axis=1)
         # permanences start uniformly around the connect threshold, so about
-        # half the potential pool is connected before any learning
-        self.permanences = np.where(
-            self.potential,
-            rng.uniform(connect_threshold - 0.1, connect_threshold + 0.1,
-                        size=(n_columns, n_input)),
-            0.0,
-        ).astype(np.float64)
-        self._connected = self.permanences >= self.connect_threshold
+        # half the pool is connected before any learning; the uniform draw
+        # covers every input, and only the pool's entries are kept
+        self.permanences = np.empty((n_columns, pool_size), dtype=np.float64)
+        rows = max(1, _DRAW_CHUNK // n_input)
+        for start in range(0, n_columns, rows):
+            drawn = rng.uniform(connect_threshold - 0.1, connect_threshold + 0.1,
+                                size=(min(rows, n_columns - start), n_input))
+            self.permanences[start:start + rows] = np.take_along_axis(
+                drawn, self.pool[start:start + rows], axis=1)
+        self._columns = np.arange(n_columns)[:, None]
+        self.rebuild_connections()
         # composite ranking key: higher score wins, ties go to lower index
         self._tiebreak = np.arange(n_columns, 0, -1, dtype=np.int64)
 
+    def rebuild_connections(self) -> None:
+        """Derive the connection matrix from ``permanences`` in full."""
+        self._connected_t = np.zeros((self.n_input, self.n_columns), dtype=np.uint8)
+        self._connected_t[self.pool, self._columns] = (
+            self.permanences >= self.connect_threshold)
+
     @property
     def connected(self) -> np.ndarray:
-        return self._connected
+        """Connection state in the pool layout of ``permanences``."""
+        return self._connected_t[self.pool, self._columns].astype(bool)
 
     def compute(self, x: Sdr, learn: bool = True) -> ColumnActivation:
         """One inhibition round; optionally apply proximal learning."""
@@ -99,22 +131,23 @@ class SpatialPooler:
             )
         if not 0 < k <= self.n_columns:
             raise ValidationError(f"need 0 < k <= n_columns, got k={k}")
-        bits = np.fromiter(x.active, dtype=np.int64, count=len(x.active))
-        if bits.size == 0:
+        if not x.active:
             return ColumnActivation((), self.n_columns, k)
-        scores = self._connected[:, bits].sum(axis=1, dtype=np.int64)
+        # a score is at most the number of active bits, so it fits in n_input
+        scores = self._connected_t[list(x.active)].sum(
+            axis=0, dtype=np.min_scalar_type(self.n_input))
         # top-k with lowest-index tie-break via a composite integer key
-        key = scores * (self.n_columns + 1) + self._tiebreak
+        key = scores.astype(np.int64) * (self.n_columns + 1) + self._tiebreak
         if k < self.n_columns:
             top_idx = np.argpartition(key, self.n_columns - k)[self.n_columns - k:]
         else:
             top_idx = np.arange(self.n_columns)
-        top = [int(c) for c in top_idx if scores[c] > 0]
-        return ColumnActivation(tuple(sorted(top)), self.n_columns, k)
+        top = np.sort(top_idx[scores[top_idx] > 0])
+        return ColumnActivation(tuple(top.tolist()), self.n_columns, k)
 
     def learn_proximal(self, x: Sdr, activated: ColumnActivation,
                        inc: float | None = None, dec: float | None = None) -> None:
-        """Reinforce active columns toward the input: potential synapses on
+        """Reinforce active columns toward the input: pool synapses on
         active bits gain ``inc``, the rest of the pool loses ``dec``."""
         inc = self.perm_inc if inc is None else inc
         dec = self.perm_dec if dec is None else dec
@@ -122,13 +155,14 @@ class SpatialPooler:
             raise ValidationError("learning rates must be non-negative")
         if not activated.active_columns:
             return
-        cols = np.fromiter(activated.active_columns, dtype=np.int64)
-        active_mask = np.zeros(self.n_input, dtype=bool)
-        active_mask[list(x.active)] = True
-        pool = self.potential[cols]
-        delta = np.where(active_mask, inc, -dec)
-        updated = np.clip(
-            self.permanences[cols] + np.where(pool, delta, 0.0), 0.0, 1.0
-        )
-        self.permanences[cols] = updated
-        self._connected[cols] = updated >= self.connect_threshold
+        cols = np.array(activated.active_columns, dtype=np.intp)
+        delta = np.full(self.n_input, -dec)
+        delta[list(x.active)] = inc
+        pool = self.pool[cols]
+        before = self.permanences[cols]
+        after = np.clip(before + delta.take(pool), 0.0, 1.0)
+        self.permanences[cols] = after
+        now = after >= self.connect_threshold
+        flips = np.flatnonzero(now != (before >= self.connect_threshold))
+        self._connected_t[pool.ravel()[flips], cols[flips // pool.shape[1]]] = (
+            now.ravel()[flips])

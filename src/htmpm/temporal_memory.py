@@ -80,8 +80,9 @@ class TemporalMemory:
 
         self._sentinel = self.n_cells  # padding presyn id, never active
         cap = 256
+        # intp, so that gathers through the cell masks need no index cast
         self.seg_presyn = np.full((cap, max_synapses_per_segment),
-                                  self._sentinel, dtype=np.int32)
+                                  self._sentinel, dtype=np.intp)
         self.seg_perm = np.zeros((cap, max_synapses_per_segment), dtype=np.float32)
         self.seg_cell = np.full(cap, -1, dtype=np.int32)  # owner cell, -1 = free row
         self.seg_last_used = np.zeros(cap, dtype=np.int64)
@@ -279,7 +280,7 @@ class TemporalMemory:
         pad = cap
         self.seg_presyn = np.vstack([
             self.seg_presyn,
-            np.full((pad, self.max_synapses_per_segment), self._sentinel, dtype=np.int32),
+            np.full((pad, self.max_synapses_per_segment), self._sentinel, dtype=np.intp),
         ])
         self.seg_perm = np.vstack([
             self.seg_perm,

@@ -1,8 +1,11 @@
 """Spatial pooler: top-k inhibition and proximal learning."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from htmpm import spatial_pooler
 from htmpm.errors import DimensionError, ValidationError
 from htmpm.sdr import Sdr
 from htmpm.spatial_pooler import ColumnActivation, SpatialPooler
@@ -15,7 +18,7 @@ def tiny_pooler(connected_sets, n_input=4, k=1):
     sp.permanences[:] = 0.1
     for c, bits in enumerate(connected_sets):
         sp.permanences[c, list(bits)] = 0.6
-    sp._connected = sp.permanences >= sp.connect_threshold
+    sp.rebuild_connections()
     return sp
 
 
@@ -57,6 +60,11 @@ class TestComputeColumns:
         sp2 = tiny_pooler([{0}, {1}, {1}])
         assert sp2.compute_columns(Sdr(4, (1,)), k=1).active_columns == (1,)
 
+    def test_scores_above_255_do_not_wrap(self):
+        sp = tiny_pooler([set(range(256)), set(range(10))], n_input=300)
+        act = sp.compute_columns(Sdr(300, tuple(range(300))), k=1)
+        assert act.active_columns == (0,)
+
     def test_dimension_mismatch(self):
         sp = tiny_pooler([{0, 1}])
         with pytest.raises(DimensionError):
@@ -89,7 +97,7 @@ class TestLearnProximal:
     def test_increment_crosses_connect_threshold(self):
         sp = tiny_pooler([{0, 1}, {2, 3}])
         sp.permanences[0, 0] = 0.45
-        sp._connected = sp.permanences >= sp.connect_threshold
+        sp.rebuild_connections()
         assert not sp.connected[0, 0]
         sp.learn_proximal(Sdr(4, (0,)), ColumnActivation((0,), 2, 1),
                           inc=0.1, dec=0.0)
@@ -130,3 +138,115 @@ class TestLearnProximal:
             bits = tuple(sorted(rng.choice(50, size=5, replace=False)))
             sp.compute(Sdr(50, bits), learn=True)
         assert sp.permanences.min() >= 0.0 and sp.permanences.max() <= 1.0
+
+
+def dense_permanences(sp):
+    """The pool-layout permanences expanded to n_columns x n_input."""
+    dense = np.zeros((sp.n_columns, sp.n_input))
+    dense[np.arange(sp.n_columns)[:, None], sp.pool] = sp.permanences
+    return dense
+
+
+class DensePooler:
+    """Reference: the dense spatial pooler the pool layout replaced, with
+    n_columns x n_input permanences masked by a boolean potential matrix."""
+
+    def __init__(self, n_input, n_columns, k_active, potential_fraction,
+                 connect_threshold, seed):
+        self.n_input = n_input
+        self.n_columns = n_columns
+        self.k_active = k_active
+        self.connect_threshold = connect_threshold
+        rng = np.random.default_rng(seed)
+        pool_size = max(1, int(round(potential_fraction * n_input)))
+        self.potential = np.zeros((n_columns, n_input), dtype=bool)
+        for c in range(n_columns):
+            self.potential[c, rng.choice(n_input, size=pool_size, replace=False)] = True
+        self.permanences = np.where(
+            self.potential,
+            rng.uniform(connect_threshold - 0.1, connect_threshold + 0.1,
+                        size=(n_columns, n_input)),
+            0.0,
+        ).astype(np.float64)
+        self._connected = self.permanences >= self.connect_threshold
+        self._tiebreak = np.arange(n_columns, 0, -1, dtype=np.int64)
+
+    def compute_columns(self, x, k):
+        bits = np.fromiter(x.active, dtype=np.int64, count=len(x.active))
+        if bits.size == 0:
+            return ColumnActivation((), self.n_columns, k)
+        scores = self._connected[:, bits].sum(axis=1, dtype=np.int64)
+        key = scores * (self.n_columns + 1) + self._tiebreak
+        if k < self.n_columns:
+            top_idx = np.argpartition(key, self.n_columns - k)[self.n_columns - k:]
+        else:
+            top_idx = np.arange(self.n_columns)
+        top = [int(c) for c in top_idx if scores[c] > 0]
+        return ColumnActivation(tuple(sorted(top)), self.n_columns, k)
+
+    def learn_proximal(self, x, activated, inc, dec):
+        if not activated.active_columns:
+            return
+        cols = np.fromiter(activated.active_columns, dtype=np.int64)
+        active_mask = np.zeros(self.n_input, dtype=bool)
+        active_mask[list(x.active)] = True
+        pool = self.potential[cols]
+        delta = np.where(active_mask, inc, -dec)
+        updated = np.clip(
+            self.permanences[cols] + np.where(pool, delta, 0.0), 0.0, 1.0
+        )
+        self.permanences[cols] = updated
+        self._connected[cols] = updated >= self.connect_threshold
+
+
+class TestPoolMatchesDense:
+    """The pool layout reproduces the dense reference bit for bit: the
+    initial draws, every activation and every learning step."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_poolers(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        n_input = int(rng.integers(1, 30))
+        n_columns = int(rng.integers(1, 40))
+        k = n_columns if seed % 4 == 0 else int(rng.integers(1, n_columns + 1))
+        fraction = 1.0 if seed % 3 == 0 else float(rng.uniform(0.05, 1.0))
+        kwargs = dict(n_input=n_input, n_columns=n_columns, k_active=k,
+                      potential_fraction=fraction,
+                      connect_threshold=float(rng.uniform(0.1, 0.9)), seed=seed)
+        # small draw chunks, so that the chunk boundaries fall inside the pooler
+        monkeypatch.setattr(spatial_pooler, "_DRAW_CHUNK", int(rng.integers(1, 3 * n_input)))
+        sp = SpatialPooler(**kwargs)
+        ref = DensePooler(**kwargs)
+        assert sp.pool.dtype == np.min_scalar_type(n_input - 1)
+        assert np.all(np.diff(sp.pool.astype(np.int64), axis=1) > 0)
+        pool_mask = np.zeros((n_columns, n_input), dtype=bool)
+        pool_mask[np.arange(n_columns)[:, None], sp.pool] = True
+        assert np.array_equal(pool_mask, ref.potential)
+        assert dense_permanences(sp).tobytes() == ref.permanences.tobytes()
+        rates = [0.0, 0.008, 0.05, 0.3]
+        for _ in range(30):
+            w = int(rng.integers(0, n_input + 1)) if rng.random() < 0.9 else 0
+            x = Sdr(n_input, tuple(rng.choice(n_input, size=w, replace=False).tolist()))
+            act = sp.compute_columns(x, k)
+            assert act == ref.compute_columns(x, k)
+            inc, dec = (float(r) for r in rng.choice(rates, size=2))
+            sp.learn_proximal(x, act, inc=inc, dec=dec)
+            ref.learn_proximal(x, act, inc=inc, dec=dec)
+            assert dense_permanences(sp).tobytes() == ref.permanences.tobytes()
+            assert np.array_equal(sp.connected, sp.permanences >= sp.connect_threshold)
+
+
+class TestInitGolden:
+    """sha256 of the dense initial permanences, computed with the dense
+    pooler: the chunked draws must reproduce its random stream."""
+
+    @pytest.mark.parametrize("kwargs, digest", [
+        (dict(n_input=400, seed=1),
+         "cbd158cff6f296017c9ab148554468bd65bcb91caed29a89a3b8905309db5089"),
+        (dict(n_input=100, n_columns=500, k_active=10, potential_fraction=0.3,
+              connect_threshold=0.4, seed=7),
+         "ad63c6ed807b0f5b2ef77bfdf0f29a6e692bc4c8cda64f36dafe44a7cbf03d56"),
+    ])
+    def test_initial_permanences(self, kwargs, digest):
+        sp = SpatialPooler(**kwargs)
+        assert hashlib.sha256(dense_permanences(sp).tobytes()).hexdigest() == digest
