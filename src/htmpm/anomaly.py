@@ -19,6 +19,8 @@ def raw_anomaly_score(predicted_columns: set[int], active_columns) -> float:
     """Fraction of active columns not predicted at the previous step.
 
     0 = fully anticipated, 1 = fully novel; 0 when no columns are active.
+    The HTM detector takes this score from ``TemporalMemory.step``; this
+    function is its reference definition.
     """
     cols = list(active_columns)
     if not cols:
@@ -81,8 +83,3 @@ def update_likelihood(raw: float, st: LikelihoodState) -> float:
     mu_short = st._short_sum / st.short_window
     return gaussian_cdf((mu_short - mu) / sigma)
 
-
-def flag(likelihood: float, threshold: float) -> bool:
-    if not 0.0 <= threshold <= 1.0:
-        raise ValidationError(f"threshold must be in [0, 1], got {threshold}")
-    return likelihood >= threshold

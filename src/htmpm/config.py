@@ -21,8 +21,8 @@ from .detectors import DetectorConfig
 from .errors import ValidationError
 
 KNOWN_KEYS = {
-    "corpus_dir", "labels_path", "output_dir", "train_fraction", "seed",
-    "profiles", "detector.kind", "subsample",
+    "corpus_dir", "output_dir", "train_fraction", "seed", "detector.kind",
+    "subsample",
 }
 
 
@@ -62,9 +62,7 @@ class RunConfig:
     corpus_dir: Path
     output_dir: Path
     detector: DetectorConfig
-    labels_path: Path | None = None
     train_fraction: float = 0.15
-    profiles: tuple[str, ...] = ("standard", "low_fp", "low_fn")
     seed: int = 0
     subsample: int = 1
 
@@ -97,10 +95,6 @@ class RunConfig:
         train_fraction = overrides.get("train_fraction")
         if train_fraction is None:
             train_fraction = float(entries.get("train_fraction", 0.15))
-        profiles = overrides.get("profiles") or entries.get("profiles")
-        if isinstance(profiles, str):
-            profiles = tuple(p.strip() for p in profiles.split(",") if p.strip())
-        labels = overrides.get("labels_path") or entries.get("labels_path")
         subsample = overrides.get("subsample")
         if subsample is None:
             subsample = entries.get("subsample", 1)
@@ -108,9 +102,7 @@ class RunConfig:
             corpus_dir=Path(corpus),
             output_dir=Path(output),
             detector=DetectorConfig(kind=kind, parameters=params, seed=seed),
-            labels_path=Path(labels) if labels else None,
             train_fraction=float(train_fraction),
-            profiles=profiles or ("standard", "low_fp", "low_fn"),
             seed=seed,
             subsample=int(subsample),
         )

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import dataclass, field
 
-from .anomaly import LikelihoodState, raw_anomaly_score, update_likelihood
+from .anomaly import LikelihoodState, update_likelihood
 from .encoder import ScalarEncoderConfig, calibrated_config, encode
 from .errors import DataError, StreamError, ValidationError
 from .spatial_pooler import SpatialPooler
@@ -94,7 +95,7 @@ class ThresholdDetector:
         self.feature = feature
         self.rms_window = rms_window
         self.calibration_sigmas = calibration_sigmas
-        self._recent: list[float] = []
+        self._recent: deque[float] = deque()
 
     def calibrate(self, values):
         if self.threshold is not None:
@@ -112,7 +113,7 @@ class ThresholdDetector:
             return abs(value)
         self._recent.append(value * value)
         if len(self._recent) > self.rms_window:
-            self._recent.pop(0)
+            self._recent.popleft()
         return math.sqrt(sum(self._recent) / len(self._recent))
 
     def step(self, timestamp, value) -> float:
@@ -129,7 +130,7 @@ class WindowedGaussianDetector:
         if window < 2:
             raise ValidationError("window must hold at least 2 values")
         self.window = window
-        self._values: list[float] = []
+        self._values: deque[float] = deque()
         self._sum = 0.0
         self._sumsq = 0.0
 
@@ -150,7 +151,7 @@ class WindowedGaussianDetector:
         self._sum += value
         self._sumsq += value * value
         if len(self._values) > self.window:
-            old = self._values.pop(0)
+            old = self._values.popleft()
             self._sum -= old
             self._sumsq -= old * old
         return score
@@ -221,9 +222,7 @@ class HtmDetector:
             )
         x = encode(value, self.encoder_cfg)
         cols = self.sp.compute(x, learn=True)
-        predicted = self.tm.predictive_columns
-        self.tm.step(cols, learn=True)
-        raw = raw_anomaly_score(predicted, cols.active_columns)
+        raw = self.tm.step(cols, learn=True)
         self.last_raw = raw
         self.last_likelihood = update_likelihood(raw, self.likelihood_state)
         return self.last_likelihood if self.use_likelihood else raw

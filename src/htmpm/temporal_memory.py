@@ -14,8 +14,13 @@ sets the queries return are derived from them.
 A cell becomes predictive when at least one of its segments has strictly
 more than ``activation_threshold`` established synapses onto currently
 active cells (permanence below the connect threshold counts as zero).
-Active columns with no predicted cell burst: every cell in the column
-activates.
+The predict pass counts only these established active synapses, for every
+segment. Active columns with no predicted cell burst: every cell in the
+column activates. A segment's matching synapses (onto the previous step's
+active cells, any permanence) are counted only where they are read: for
+the segments of the bursting columns, when their winners are chosen.
+``step`` returns the raw anomaly score, the fraction of active columns
+that burst (0 with no active column).
 
 Learning is Hebbian with asymmetric rates: segments that correctly
 predicted are reinforced (inc) and decayed (dec); segments that predicted
@@ -89,13 +94,16 @@ class TemporalMemory:
         self._n_rows = 0               # high-water mark of allocated rows
         self._free_rows: list[int] = []
         self._step = 0
+        # the smallest type that holds a segment's synapse count
+        self._count_type = np.min_scalar_type(max_synapses_per_segment)
         self.reset()
 
     # ------------------------------------------------------------------
     # stepping
 
-    def step(self, cols: ColumnActivation, learn: bool = True) -> None:
-        """Run one full activate -> learn -> predict cycle.
+    def step(self, cols: ColumnActivation, learn: bool = True) -> float:
+        """Run one full activate -> learn -> predict cycle and return the
+        raw anomaly score: bursting columns / active columns, 0 with none.
 
         Eq.-(3) semantics: predicted cells of active columns activate;
         columns with no predicted cell burst. Activation and learning read
@@ -123,6 +131,7 @@ class TemporalMemory:
         self._active_arr[:-1].reshape(self.n_columns, m)[bursting] = True
         self._winners = np.sort(np.concatenate([winners, burst_winners]))
         self._compute_predictive()
+        return len(bursting) / len(columns) if len(columns) else 0.0
 
     def _predicted_winners(self, cells, strengths):
         """Per predicted column, the cell owning the segment with the most
@@ -139,7 +148,9 @@ class TemporalMemory:
         """Per bursting column, the cell with the best matching segment; ties
         go to the cell with the fewest segments, then to the lowest index.
         Also returns each winner's best matching row (most matching synapses,
-        ties to the lowest row), or -1 where no segment of it matches."""
+        ties to the lowest row), or -1 where no segment of it matches.
+        Matching synapses are live synapses onto the cells still marked
+        active, the previous step's."""
         if not len(bursting):
             return bursting, bursting  # no winners, no matching rows
         m = self.m_cells
@@ -148,9 +159,7 @@ class TemporalMemory:
         owners = self.seg_cell[:self._n_rows]
         rows = np.flatnonzero(slot[owners // m] >= 0)
         cells = owners[rows]
-        match = np.zeros(len(rows), dtype=np.int64)
-        counted = rows < len(self._matching_counts)
-        match[counted] = self._matching_counts[rows[counted]]
+        match = np.count_nonzero(self._active_arr[self.seg_presyn[rows]], axis=1)
         b, i = slot[cells // m], cells % m
         best = np.zeros((len(bursting), m), dtype=np.int64)
         np.maximum.at(best, (b, i), match)
@@ -173,32 +182,35 @@ class TemporalMemory:
         if self.perm_inc == 0 and self.perm_dec == 0 and self.perm_punish == 0:
             return
         prev_winners = self._winners
-        grow = matching_rows[matching_rows >= 0]
-        # a winner with no matching segment gets a new one when there are
-        # previous winners for it to grow onto
-        lacking = burst_winners[matching_rows < 0] if len(prev_winners) else []
-        new = np.array([self.create_segment(int(c)) for c in lacking], dtype=np.int64)
-        reinforce = np.concatenate([correct_rows, grow])
+        reinforce, growing = correct_rows, ()
+        if len(burst_winners):
+            grow = matching_rows[matching_rows >= 0]
+            # a winner with no matching segment gets a new one when there
+            # are previous winners for it to grow onto
+            lacking = burst_winners[matching_rows < 0] if len(prev_winners) else []
+            new = np.array([self.create_segment(int(c)) for c in lacking], dtype=np.int64)
+            reinforce = np.concatenate([correct_rows, grow])
+            growing = np.concatenate([grow, new])
         self.seg_last_used[reinforce] = self._step
+        # gathered after create_segment, which may have evicted and reused rows
         rows = np.concatenate([reinforce, wrong_rows])
-        was_active = self._active_arr[self.seg_presyn[rows]]
-        delta = np.where(was_active, self.perm_inc, -self.perm_dec)
+        presyn = self.seg_presyn[rows]
+        delta = np.where(self._active_arr[presyn], self.perm_inc, -self.perm_dec)
         delta[len(reinforce):] = -self.perm_punish  # the wrong predictions
-        self._adjust(rows, delta)
-        growing = np.concatenate([grow, new])
+        self._adjust(rows, presyn, delta)
         if len(growing) and len(prev_winners):
             self._grow(growing, prev_winners)
 
-    def _adjust(self, rows, delta):
-        """Add delta to the live synapses of rows, clipped to [0, 1];
-        synapses driven to zero are destroyed."""
-        presyn = self.seg_presyn[rows]
+    def _adjust(self, rows, presyn, delta):
+        """Add delta to the live synapses of rows (whose presyn is given),
+        clipped to [0, 1]; synapses driven to zero are destroyed."""
         live = presyn != self._sentinel
-        updated = np.clip(self.seg_perm[rows] + np.where(live, delta, 0.0), 0.0, 1.0)
-        dead = live & (updated <= 0.0)
-        presyn[dead] = self._sentinel
-        updated[dead] = 0.0
-        self.seg_presyn[rows] = presyn
+        updated = self.seg_perm[rows] + np.where(live, delta, 0.0)  # float64
+        np.clip(updated, 0.0, 1.0, out=updated)
+        dead = live & (updated <= 0.0)  # clipped to exactly 0.0
+        if dead.any():
+            presyn[dead] = self._sentinel
+            self.seg_presyn[rows] = presyn
         self.seg_perm[rows] = updated
 
     def _grow(self, rows, winners):
@@ -228,9 +240,12 @@ class TemporalMemory:
         not predict."""
         n = self._n_rows
         act = self._active_arr[self.seg_presyn[:n]]
-        established = self.seg_perm[:n] >= self.connect_threshold
-        self._active_counts = np.count_nonzero(act & established, axis=1)
-        self._matching_counts = np.count_nonzero(act, axis=1)
+        act &= self.seg_perm[:n] >= self.connect_threshold
+        # einsum sums each row's bytes in the narrow count type, several
+        # times faster than count_nonzero; intp, because the predicted
+        # winners sort on the negated counts
+        counts = np.einsum("ij->i", act.view(np.uint8), dtype=self._count_type)
+        self._active_counts = counts.astype(np.intp)
         self._active_rows = np.flatnonzero(self._active_counts > self.activation_threshold)
 
     # ------------------------------------------------------------------
@@ -330,8 +345,7 @@ class TemporalMemory:
         self._active_arr = np.zeros(self.n_cells + 1, dtype=bool)
         self._winners = np.empty(0, dtype=np.int64)
         self._active_rows = np.empty(0, dtype=np.int64)
-        self._active_counts = np.empty(0, dtype=np.int64)
-        self._matching_counts = np.empty(0, dtype=np.int64)
+        self._active_counts = np.empty(0, dtype=np.intp)
 
     # ------------------------------------------------------------------
     # serialization

@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from htmpm.anomaly import (LikelihoodState, flag, gaussian_cdf,
-                           raw_anomaly_score, update_likelihood)
+from htmpm.anomaly import (LikelihoodState, gaussian_cdf, raw_anomaly_score,
+                           update_likelihood)
 from htmpm.errors import ValidationError
 
 
@@ -110,17 +110,3 @@ class TestUpdateLikelihood:
         mu_s = sum(hist[-5:]) / 5
         assert out == pytest.approx(gaussian_cdf((mu_s - mu) / sigma), rel=1e-6)
 
-
-class TestFlag:
-    def test_above_threshold(self):
-        assert flag(0.9, 0.5)
-
-    def test_below_threshold(self):
-        assert not flag(0.4, 0.5)
-
-    def test_boundary_inclusive(self):
-        assert flag(0.5, 0.5)
-
-    def test_invalid_threshold(self):
-        with pytest.raises(ValidationError):
-            flag(0.5, 1.5)

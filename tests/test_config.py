@@ -2,6 +2,7 @@
 
 import pytest
 
+from htmpm.cli import main
 from htmpm.config import RunConfig, load_config, parse_config_text
 from htmpm.errors import ValidationError
 
@@ -90,11 +91,14 @@ class TestRunConfig:
         with pytest.raises(ValidationError):
             RunConfig.from_entries(self.base_entries(), subsample=0)
 
-    def test_profiles_parsed_from_csv_string(self):
-        entries = self.base_entries()
-        entries["profiles"] = "standard, low_fn"
-        cfg = RunConfig.from_entries(entries)
-        assert cfg.profiles == ("standard", "low_fn")
+    def test_scoring_keys_rejected(self, tmp_path, capsys):
+        # labels and profiles belong to `score` (--labels, --profiles)
+        for key in ("labels_path", "profiles"):
+            cfg = tmp_path / f"{key}.cfg"
+            cfg.write_text(f"corpus_dir = c\noutput_dir = o\n"
+                           f"detector.kind = null\n{key} = standard\n")
+            assert main(["run", "--config", str(cfg)]) == 1
+            assert f"unknown key '{key}'" in capsys.readouterr().err
 
 
 class TestLoadConfig:

@@ -6,6 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from htmpm.anomaly import raw_anomaly_score
 from htmpm.cli import main
 from htmpm.errors import ValidationError
 from htmpm.spatial_pooler import ColumnActivation
@@ -241,7 +242,7 @@ class TestSegmentBookkeeping:
 
 def random_tm(seed):
     """A TM with random segments whose free synapse slots are scattered,
-    plus random matching counts for the first rows."""
+    and a random set of active cells for the segments to match."""
     rng = np.random.default_rng(seed)
     tm = TemporalMemory(n_columns=6, m_cells=3, activation_threshold=0,
                         sample_size=int(rng.integers(1, 6)),
@@ -252,7 +253,7 @@ def random_tm(seed):
         row = tm.create_segment(int(rng.integers(tm.n_cells)),
                                 {int(c): 0.5 for c in cells})
         tm.seg_presyn[row, rng.random(6) < 0.3] = tm._sentinel
-    tm._matching_counts = rng.integers(0, 4, size=int(rng.integers(0, tm._n_rows + 1)))
+    tm._active_arr[:-1] = rng.random(tm.n_cells) < rng.random()
     return tm, rng
 
 
@@ -276,10 +277,9 @@ def loop_grow(tm, row, winners):
 
 def loop_burst_winners(tm, bursting):
     """Per-column reference for TemporalMemory._burst_winners."""
-    counts = tm._matching_counts
-
     def match(row):
-        return int(counts[row]) if row < len(counts) else 0
+        return sum(1 for p in tm.seg_presyn[row]
+                   if p != tm._sentinel and tm._active_arr[p])
 
     winners, matching_rows = [], []
     for col in bursting:
@@ -294,6 +294,41 @@ def loop_burst_winners(tm, bursting):
         winners.append(winner)
         matching_rows.append(best)
     return winners, matching_rows
+
+
+def loop_predictive(tm):
+    """Per-segment reference for TemporalMemory._compute_predictive: each
+    row's established synapses onto active cells, and the rows above the
+    activation threshold."""
+    counts = [
+        sum(1 for p, q in zip(tm.seg_presyn[row], tm.seg_perm[row])
+            if p != tm._sentinel and tm._active_arr[p] and q >= tm.connect_threshold)
+        for row in range(tm._n_rows)
+    ]
+    return counts, [row for row, n in enumerate(counts) if n > tm.activation_threshold]
+
+
+def random_predict_tm(seed):
+    """A TM whose permanences sit below, exactly at and above the connect
+    threshold, with scattered padding, freed rows and random activity."""
+    rng = np.random.default_rng(seed)
+    tm = TemporalMemory(n_columns=5, m_cells=2,
+                        activation_threshold=int(rng.integers(0, 4)),
+                        max_synapses_per_segment=5, sample_size=2)
+    for _ in range(int(rng.integers(0, 25))):
+        cells = rng.choice(tm.n_cells, size=int(rng.integers(0, 6)), replace=False)
+        tm.create_segment(int(rng.integers(tm.n_cells)),
+                          {int(c): float(rng.choice([0.4, 0.5, 0.6])) for c in cells})
+    for row in range(tm._n_rows):
+        if rng.random() < 0.2:
+            tm.destroy_segment(row)
+    tm._active_arr[:-1] = rng.random(tm.n_cells) < 0.6
+    # exactly activation_threshold active synapses, each with a permanence
+    # at the connect threshold: established, but not predictive (strict '>')
+    cells = rng.choice(tm.n_cells, size=tm.activation_threshold, replace=False)
+    tm._active_arr[cells] = True
+    edge = tm.create_segment(0, {int(c): 0.5 for c in cells})
+    return tm, edge
 
 
 class TestVectorizedMatchesLoops:
@@ -317,6 +352,82 @@ class TestVectorizedMatchesLoops:
         bursting = rng.choice(tm.n_columns, size=int(rng.integers(1, 7)), replace=False)
         winners, matching_rows = tm._burst_winners(bursting)
         assert (winners.tolist(), matching_rows.tolist()) == loop_burst_winners(tm, bursting)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_compute_predictive(self, seed):
+        tm, edge = random_predict_tm(seed)
+        tm._compute_predictive()
+        counts, rows = loop_predictive(tm)
+        assert tm._active_counts.tolist() == counts
+        assert tm._active_rows.tolist() == rows
+        assert counts[edge] == tm.activation_threshold and edge not in rows
+
+    def test_counts_wider_than_a_byte(self):
+        tm = TemporalMemory(n_columns=300, m_cells=1, activation_threshold=256,
+                            sample_size=1, max_synapses_per_segment=300)
+        row = tm.create_segment(0, {c: 0.6 for c in range(1, 281)})
+        tm._active_arr[:-1] = True
+        tm._compute_predictive()
+        assert tm._active_counts[row] == 280 and tm._active_rows.tolist() == [row]
+
+
+class TestRawScoreFromStep:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_raw_anomaly_score(self, seed):
+        """The step's raw score equals raw_anomaly_score of the columns
+        predicted before the step, while a cap of 2 segments per cell keeps
+        evicting segments and handing their rows to new ones."""
+        rng = np.random.default_rng(seed)
+        tm = TemporalMemory(n_columns=8, m_cells=2, activation_threshold=1,
+                            sample_size=3, max_segments_per_cell=2,
+                            max_synapses_per_segment=6)
+        evicted = []
+        destroy = tm.destroy_segment
+        tm.destroy_segment = lambda row: (evicted.append(row), destroy(row))
+        patterns = [tuple(sorted(rng.choice(8, size=3, replace=False))) for _ in range(4)]
+        raws = []
+        for t in range(400):
+            if rng.random() < 0.02:
+                tm.reset()
+            if rng.random() < 0.2:
+                active = tuple(sorted(rng.choice(8, size=int(rng.integers(0, 4)),
+                                                 replace=False)))
+            else:
+                active = patterns[t % len(patterns)]
+            predicted = tm.predictive_columns
+            raw = tm.step(ColumnActivation(active, 8, 3))
+            assert raw == raw_anomaly_score(predicted, active)
+            raws.append(raw)
+        assert evicted and min(raws) < 1.0
+
+
+class TestMatchingCountedAtStep:
+    """A segment created or replaced between steps counts the synapses it
+    has when the column bursts, not what its row held before."""
+
+    def test_new_segment_counts_its_synapses(self):
+        tm = TemporalMemory(n_columns=2, m_cells=2, activation_threshold=5,
+                            perm_punish=0.01)
+        tm.step(ColumnActivation((0,), 2, 1))  # cells 0 and 1 burst
+        row = tm.create_segment(3, {0: 0.3, 1: 0.3})
+        tm.step(ColumnActivation((1,), 2, 1))
+        # two matching synapses make cell 3 win over segment-less cell 2
+        assert tm.winner_cells == {3}
+        assert tm.synapses_of(row) == {0: pytest.approx(0.4), 1: pytest.approx(0.4)}
+
+    def test_replaced_segment_does_not_inherit_matches(self):
+        tm = TemporalMemory(n_columns=3, m_cells=2, activation_threshold=5,
+                            perm_punish=0.01)
+        old = tm.create_segment(4, {0: 0.3, 1: 0.3})
+        tm.step(ColumnActivation((0,), 3, 1))  # row `old` matches 2 cells
+        tm.destroy_segment(old)
+        row = tm.create_segment(3, {5: 0.3})
+        assert row == old
+        tm.step(ColumnActivation((1,), 3, 1))
+        # cell 3's segment matches nothing: the winner is cell 2, which has
+        # no segment, and cell 3's segment is left alone
+        assert tm.winner_cells == {2}
+        assert tm.synapses_of(row) == {5: pytest.approx(0.3)}
 
 
 class TestReset:
