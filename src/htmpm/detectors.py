@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass, field
 
 from .anomaly import LikelihoodState, update_likelihood
@@ -95,7 +94,7 @@ class ThresholdDetector:
         self.feature = feature
         self.rms_window = rms_window
         self.calibration_sigmas = calibration_sigmas
-        self._recent: deque[float] = deque()
+        self._recent: list[float] = []
 
     def calibrate(self, values):
         if self.threshold is not None:
@@ -113,7 +112,7 @@ class ThresholdDetector:
             return abs(value)
         self._recent.append(value * value)
         if len(self._recent) > self.rms_window:
-            self._recent.popleft()
+            self._recent.pop(0)
         return math.sqrt(sum(self._recent) / len(self._recent))
 
     def step(self, timestamp, value) -> float:
@@ -130,7 +129,7 @@ class WindowedGaussianDetector:
         if window < 2:
             raise ValidationError("window must hold at least 2 values")
         self.window = window
-        self._values: deque[float] = deque()
+        self._values: list[float] = []
         self._sum = 0.0
         self._sumsq = 0.0
 
@@ -151,7 +150,7 @@ class WindowedGaussianDetector:
         self._sum += value
         self._sumsq += value * value
         if len(self._values) > self.window:
-            old = self._values.popleft()
+            old = self._values.pop(0)
             self._sum -= old
             self._sumsq -= old * old
         return score

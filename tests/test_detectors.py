@@ -1,7 +1,6 @@
 """Streaming detector contract and the baseline implementations."""
 
 import math
-import random
 from datetime import datetime, timedelta
 
 import pytest
@@ -127,63 +126,6 @@ class TestWindowedGaussian:
         with pytest.raises(ValidationError):
             WindowedGaussianDetector(window=1)
 
-
-
-def list_gaussian_scores(values, window):
-    """Windowed-Gaussian scores with the window kept in a list that evicts
-    with pop(0): the reference for the detector's deque."""
-    kept, total, total_sq, out = [], 0.0, 0.0, []
-    for value in values:
-        n = len(kept)
-        if n >= 2:
-            mu = total / n
-            var = max(total_sq / n - mu * mu, 0.0)
-            sigma = max(math.sqrt(var), 1e-9)
-            z = abs(value - mu) / sigma
-            out.append(math.erf(z / math.sqrt(2.0)))
-        else:
-            out.append(0.5)
-        kept.append(value)
-        total += value
-        total_sq += value * value
-        if len(kept) > window:
-            old = kept.pop(0)
-            total -= old
-            total_sq -= old * old
-    return out
-
-
-def list_rms(values, window):
-    """The threshold detector's rms feature over a list window."""
-    recent, out = [], []
-    for value in values:
-        recent.append(value * value)
-        if len(recent) > window:
-            recent.pop(0)
-        out.append(math.sqrt(sum(recent) / len(recent)))
-    return out
-
-
-class TestWindowsMatchListVersion:
-    # streams three times the window, so that most records evict one
-    def values(self, n):
-        rng = random.Random(11)
-        return [1e3 + rng.gauss(0.0, 1.0) for _ in range(n)]
-
-    def test_windowed_gaussian(self):
-        vals = self.values(600)
-        det = WindowedGaussianDetector(window=200)
-        assert [det.step(t, v) for t, v in series(vals)] == list_gaussian_scores(vals, 200)
-
-    def test_threshold_rms(self):
-        vals = self.values(48)
-        ref = list_rms(vals, 16)
-        det = ThresholdDetector(feature="rms", rms_window=16)
-        assert [det._featurize(v) for v in vals] == ref
-        # a level equal to one feature value: >= must see the same float
-        det = ThresholdDetector(threshold=ref[30], feature="rms", rms_window=16)
-        out = [det.step(t, v) for t, v in series(vals)]
-        assert out == [1.0 if f >= ref[30] else 0.0 for f in ref]
 
 class TestHtmDetector:
     def test_requires_range_or_calibration(self):
