@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from datetime import datetime, timezone
+from math import isfinite
 from pathlib import Path
 
 from .errors import DataError, StreamError
@@ -61,6 +62,8 @@ def read_series(path) -> list[tuple[datetime, float]]:
             value = float(parts[1])
         except ValueError:
             raise DataError(f"{path}:{lineno}: bad value {parts[1]!r}") from None
+        if not isfinite(value):
+            raise DataError(f"{path}:{lineno}: non-finite value {parts[1]!r}")
         if prev_ts is not None and ts < prev_ts:
             raise StreamError(f"{path}:{lineno}: timestamps out of order")
         prev_ts = ts
@@ -122,6 +125,9 @@ def read_labels(path) -> dict[str, list[datetime]]:
         raise DataError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise DataError(f"{path}: labels document must be a JSON object")
+    for name, instants in doc.items():
+        if not isinstance(instants, list) or not all(isinstance(t, str) for t in instants):
+            raise DataError(f"{path}: labels of {name!r} must be a list of timestamp strings")
     return {
         name: [parse_timestamp(t) for t in instants]
         for name, instants in doc.items()

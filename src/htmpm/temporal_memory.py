@@ -19,6 +19,13 @@ segment. Active columns with no predicted cell burst: every cell in the
 column activates. A segment's matching synapses (onto the previous step's
 active cells, any permanence) are counted only where they are read: for
 the segments of the bursting columns, when their winners are chosen.
+A bursting column's winner cell reuses its best matching segment only
+when that segment has at least ``min(MIN_MATCH, sample_size)`` matching
+synapses (htm.core's ``minThreshold``); otherwise the winner grows a new
+segment. So a value that follows two different contexts gets one segment
+per context, instead of one segment that both contexts pull back and
+forth. The clamp to ``sample_size`` lets a segment that has just grown
+its ``sample_size`` synapses match again.
 ``step`` returns the raw anomaly score, the fraction of active columns
 that burst (0 with no active column).
 
@@ -37,6 +44,10 @@ import numpy as np
 
 from .errors import ValidationError
 from .spatial_pooler import ColumnActivation
+
+# htm.core's minThreshold: the fewest matching synapses that let a bursting
+# cell reuse a segment instead of growing a new one
+MIN_MATCH = 10
 
 
 class TemporalMemory:
@@ -148,9 +159,9 @@ class TemporalMemory:
         """Per bursting column, the cell with the best matching segment; ties
         go to the cell with the fewest segments, then to the lowest index.
         Also returns each winner's best matching row (most matching synapses,
-        ties to the lowest row), or -1 where no segment of it matches.
-        Matching synapses are live synapses onto the cells still marked
-        active, the previous step's."""
+        ties to the lowest row), or -1 where none of its segments has at
+        least min(MIN_MATCH, sample_size) of them. Matching synapses are live
+        synapses onto the cells still marked active, the previous step's."""
         if not len(bursting):
             return bursting, bursting  # no winners, no matching rows
         m = self.m_cells
@@ -167,7 +178,8 @@ class TemporalMemory:
         np.add.at(n_segs, (b, i), 1)
         top = best == best.max(axis=1, keepdims=True)
         pick = np.where(top, n_segs, np.iinfo(np.int64).max).argmin(axis=1)
-        is_best = (i == pick[b]) & (match == best[b, i]) & (match > 0)
+        is_best = ((i == pick[b]) & (match == best[b, i])
+                   & (match >= min(MIN_MATCH, self.sample_size)))
         # rows ascend, so each column's first occurrence is its lowest row
         found, first = np.unique(b[is_best], return_index=True)
         matching_rows = np.full(len(bursting), -1)

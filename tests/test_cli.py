@@ -113,6 +113,20 @@ class TestRunCommand:
                    "--output", str(tmp_path / "out"), "--detector", "null"])
         assert rc == 2
 
+    @pytest.mark.parametrize("detector", ["windowed_gaussian", "htm_hd"])
+    @pytest.mark.parametrize("text", ["nan", "inf"])
+    def test_non_finite_value_exits_2(self, tmp_path, detector, text):
+        corpus, _ = make_corpus(tmp_path, n_files=1)
+        path = corpus / "series_0.csv"
+        lines = path.read_text().splitlines()
+        lines[30] = lines[30].split(",")[0] + "," + text
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        rc = main(["run", "--corpus", str(corpus), "--output", str(out),
+                   "--detector", detector])
+        assert rc == 2
+        assert not (out / "series_0.csv").exists()
+
     def test_empty_corpus_exits_2(self, tmp_path):
         (tmp_path / "corpus").mkdir()
         rc = main(["run", "--corpus", str(tmp_path / "corpus"),
@@ -214,6 +228,17 @@ class TestScoreCommand:
         main(["run", "--corpus", str(corpus), "--output", str(scores_dir),
               "--detector", "null"])
         labels.write_bytes(b'{"series_0.csv": ["\xff"]}')
+        rc = main(["score", "--scores", str(scores_dir),
+                   "--labels", str(labels), "--output", str(tmp_path / "r")])
+        assert rc == 2
+
+    @pytest.mark.parametrize("doc", ['{"series_0.csv": 5}', '{"series_0.csv": [5]}'])
+    def test_malformed_labels_exit_2(self, tmp_path, doc):
+        corpus, labels = make_corpus(tmp_path)
+        scores_dir = tmp_path / "scores"
+        main(["run", "--corpus", str(corpus), "--output", str(scores_dir),
+              "--detector", "null"])
+        labels.write_text(doc)
         rc = main(["score", "--scores", str(scores_dir),
                    "--labels", str(labels), "--output", str(tmp_path / "r")])
         assert rc == 2

@@ -66,6 +66,13 @@ class TestSeriesRoundTrip:
         with pytest.raises(DataError):
             read_series(path)
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_value_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"timestamp,value\n2021-03-01T12:00:00,1.0\n2021-03-01T12:01:00,{text}\n")
+        with pytest.raises(DataError, match="bad.csv:3"):
+            read_series(path)
+
     def test_out_of_order_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("timestamp,value\n"
@@ -131,6 +138,18 @@ class TestLabelsAndWindows:
         path = tmp_path / "labels.json"
         path.write_text("[1, 2]")
         with pytest.raises(DataError):
+            read_labels(path)
+
+    @pytest.mark.parametrize("doc", [
+        {"a.csv": 5},
+        {"a.csv": [5]},
+        {"a.csv": "2021-03-01T12:00:00"},
+        {"a.csv": ["2021-03-01T12:00:00", None]},
+    ])
+    def test_malformed_instants_rejected(self, tmp_path, doc):
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="a.csv"):
             read_labels(path)
 
     def test_windows_document_shape(self, tmp_path):

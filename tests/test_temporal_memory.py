@@ -8,9 +8,10 @@ import pytest
 
 from htmpm.anomaly import raw_anomaly_score
 from htmpm.cli import main
+from htmpm.detectors import HtmDetector
 from htmpm.errors import ValidationError
 from htmpm.spatial_pooler import ColumnActivation
-from htmpm.temporal_memory import TemporalMemory
+from htmpm.temporal_memory import MIN_MATCH, TemporalMemory
 
 
 def flat_tm(n_columns=4, **kwargs):
@@ -276,7 +277,8 @@ def loop_grow(tm, row, winners):
 
 
 def loop_burst_winners(tm, bursting):
-    """Per-column reference for TemporalMemory._burst_winners."""
+    """Per-column reference for TemporalMemory._burst_winners: a winner
+    reuses its best segment only with min(MIN_MATCH, sample_size) matches."""
     def match(row):
         return sum(1 for p in tm.seg_presyn[row]
                    if p != tm._sentinel and tm._active_arr[p])
@@ -287,7 +289,7 @@ def loop_burst_winners(tm, bursting):
         winner = min(cells, key=lambda c: (
             -max((match(r) for r in tm.segments_of(c)), default=0),
             len(tm.segments_of(c)), c))
-        best, best_n = -1, 0
+        best, best_n = -1, min(MIN_MATCH, tm.sample_size) - 1
         for r in tm.segments_of(winner):
             if match(r) > best_n:
                 best, best_n = r, match(r)
@@ -406,8 +408,9 @@ class TestMatchingCountedAtStep:
     has when the column bursts, not what its row held before."""
 
     def test_new_segment_counts_its_synapses(self):
+        # sample_size 2: two matching synapses reach the match threshold
         tm = TemporalMemory(n_columns=2, m_cells=2, activation_threshold=5,
-                            perm_punish=0.01)
+                            perm_punish=0.01, sample_size=2)
         tm.step(ColumnActivation((0,), 2, 1))  # cells 0 and 1 burst
         row = tm.create_segment(3, {0: 0.3, 1: 0.3})
         tm.step(ColumnActivation((1,), 2, 1))
@@ -428,6 +431,39 @@ class TestMatchingCountedAtStep:
         # no segment, and cell 3's segment is left alone
         assert tm.winner_cells == {2}
         assert tm.synapses_of(row) == {5: pytest.approx(0.3)}
+
+
+class TestMatchThreshold:
+    """A bursting winner reuses its best segment only when it has at least
+    min(MIN_MATCH, sample_size) matching synapses; otherwise it grows a new
+    segment and leaves the old one alone."""
+
+    @pytest.mark.parametrize("sample_size, n_match, reused", [
+        (20, MIN_MATCH - 1, False),
+        (20, MIN_MATCH, True),
+        (4, 3, False),
+        (4, 4, True),
+    ])
+    def test_boundary(self, sample_size, n_match, reused):
+        m = 12
+        tm = TemporalMemory(n_columns=2, m_cells=m, activation_threshold=m,
+                            perm_punish=0.01, sample_size=sample_size)
+        tm.step(ColumnActivation((0,), 2, 1))  # cells 0..11 burst, winner 0
+        row = tm.create_segment(m + 1, {c: 0.3 for c in range(n_match)})
+        tm.step(ColumnActivation((1,), 2, 1))
+        # the cell with the matching segment wins the burst either way
+        assert tm.winner_cells == {m + 1}
+        rows = tm.segments_of(m + 1)
+        if reused:
+            assert rows == [row]
+            assert tm.synapses_of(row) == {
+                c: pytest.approx(0.4) for c in range(n_match)}
+        else:
+            assert len(rows) == 2 and row in rows
+            assert tm.synapses_of(row) == {
+                c: pytest.approx(0.3) for c in range(n_match)}
+            new = next(r for r in rows if r != row)
+            assert tm.synapses_of(new) == {0: pytest.approx(0.21)}
 
 
 class TestReset:
@@ -466,6 +502,19 @@ class TestSequenceLearning:
             assert tm.predictive_columns >= nxt
 
 
+class TestRepeatedValues:
+    def test_staircase_is_learned(self):
+        """-0.5 and 0.0 each follow two different contexts in this cycle.
+        A segment reused for both contexts is pulled back and forth on
+        every cycle and raw stays near 0.26; with one segment per context
+        the cycle becomes fully predicted."""
+        cycle = [-1.0, -0.5, 0.0, 0.5, 1.0, 0.5, 0.0, -0.5]
+        detector = HtmDetector({"value_min": -2.0, "value_max": 2.0}, seed=1,
+                               use_likelihood=False)
+        raws = [detector.step(None, cycle[i % 8]) for i in range(2000)]
+        assert sum(raws[1000:]) / 1000 < 0.1
+
+
 class TestSerialization:
     def test_round_trip(self):
         tm = flat_tm()
@@ -479,12 +528,12 @@ class TestSerialization:
 
 
 class TestScoresGolden:
-    # sha256 of each htm_hd score CSV for this corpus, computed before the
-    # temporal memory's bookkeeping was rewritten; TM refactors must keep
-    # them byte-identical
+    # sha256 of each htm_hd score CSV for this corpus, computed when the
+    # bursting winner's match threshold (MIN_MATCH) was introduced; TM
+    # refactors must keep them byte-identical
     SCORES_SHA256 = {
-        "degradation_00.csv": "bfdd32ebb99c7898696280085de55b978905aa625a2c353da16020a54796de9c",
-        "degradation_01.csv": "d1b2c01e3618ef627bfc51ea2b66ba9c0c453a5b2c515f06bf32af64ce477c26",
+        "degradation_00.csv": "0e22df21b743add6d1483f1ec1cd5a2e1a6110c56d4f84ca26930601a340cf11",
+        "degradation_01.csv": "5929f113171dc62f6d354891b0e7d54d65667a2d4e5baed93d90208844db6f6f",
     }
 
     def test_htm_hd_scores_unchanged(self, tmp_path):
