@@ -24,8 +24,8 @@ from .detectors import DETECTOR_KINDS, DetectorConfig, run_file
 from .errors import DataError, HtmpmError, ValidationError
 from .nab import PROFILES, benchmark, make_windows
 from .psd_synth import DegradationModel, SynthSpec, generate_degradation, psd_map
-from .series import (read_labels, read_scores, read_series, write_labels,
-                     write_scores, write_series, write_windows)
+from .series import (read_columns, read_labels, read_scores, read_series,
+                     write_labels, write_scores, write_series, write_windows)
 
 def _config_hash(cfg: RunConfig) -> str:
     canonical = json.dumps({
@@ -97,11 +97,10 @@ def cmd_score(scores_dir, labels_path, profiles, output_dir,
     if missing:
         raise DataError(f"labeled series without score files: {missing}")
     for path in score_files:
-        rows = read_scores(path)
-        outputs[path.name] = [(ts, score) for ts, _, score in rows]
-        span = (rows[0][0], rows[-1][0])
+        columns = read_scores(path)
+        outputs[path.name] = (columns.times, columns.scores)
         windows_by_file[path.name] = make_windows(
-            labels.get(path.name, []), span, window_budget, source_file=path.name
+            labels.get(path.name, []), columns.span(), window_budget, source_file=path.name
         )
 
     results = benchmark(
@@ -189,6 +188,8 @@ def cmd_inspect(path):
     if path.suffix == ".json":
         try:
             doc = json.loads(path.read_bytes())
+        except OSError as exc:
+            raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from None
         except ValueError as exc:  # malformed JSON or undecodable bytes
             raise DataError(f"{path}: invalid JSON: {exc}") from None
         if not isinstance(doc, (dict, list)):
@@ -197,12 +198,10 @@ def cmd_inspect(path):
         return
     if path.suffix != ".csv":
         raise DataError(f"{path}: can inspect .json and .csv files only")
-    first = path.read_bytes().split(b"\n", 1)[0]
-    rows = read_scores(path) if b"anomaly_score" in first else [
-        (ts, v, None) for ts, v in read_series(path)
-    ]
-    values = [v for _, v, _ in rows]
-    print(f"{path}: {len(rows)} rows, span {rows[0][0]} .. {rows[-1][0]}, "
+    columns = read_columns(path)
+    first, last = columns.span()
+    values = columns.values.tolist()
+    print(f"{path}: {len(columns)} rows, span {first} .. {last}, "
           f"value range [{min(values)}, {max(values)}]")
 
 

@@ -7,8 +7,9 @@ turning into penalties. Missed windows cost the false-negative weight.
 Thresholds are optimized per profile over the whole corpus, and raw scores
 are normalized to 0-100 against the null detector and a perfect oracle.
 
-Each file is classified once: timestamps become int64 microseconds, a
-binary search over the window starts finds the window holding each record
+Score streams are columns: int64 microsecond timestamps and float64
+scores, as ``series.read_scores`` gives them. Each file is classified once:
+a binary search over the window starts finds the window holding each record
 and one over the window ends the last window before it, and the profile-free
 part of the curve, 2/(1+e^{5y}) - 1, is computed once per record. Every
 profile, and the detector, null and oracle streams, share that
@@ -27,11 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime
 
 import numpy as np
 
 from .errors import DataError, ValidationError
+from .series import _micros
 
 
 @dataclass(frozen=True)
@@ -164,33 +166,24 @@ def score_run(output, windows: list[AnomalyWindow], threshold: float,
     return total
 
 
-_EPOCH = datetime(1970, 1, 1)
-_MICROSECOND = timedelta(microseconds=1)
 _NULL_SCORE = 0.5
-
-
-def _micros(times) -> np.ndarray:
-    """Timestamps as int64 microseconds by exact integer timedelta
-    arithmetic, several times faster than a datetime64 conversion."""
-    return np.array([(t - _EPOCH) // _MICROSECOND for t in times], dtype=np.int64)
 
 
 class _Corpus:
     """Every record of a corpus classified once against its file's windows.
 
-    Files are concatenated in the order given. Per record: ``times`` in
-    microseconds; ``window``, the corpus-wide id of the window holding it
-    (-1 outside every window); and ``curve``, the factor 2/(1+e^{5y}) - 1
-    of ``sigma`` for the holding window or, outside, the nearest preceding
-    one, -1 (the full penalty) before any window or more than 3
-    window-lengths late.
+    Files are concatenated in the order given, each file's timestamps given
+    as int64 microseconds. Per record: ``times``; ``window``, the
+    corpus-wide id of the window holding it (-1 outside every window); and
+    ``curve``, the factor 2/(1+e^{5y}) - 1 of ``sigma`` for the holding
+    window or, outside, the nearest preceding one, -1 (the full penalty)
+    before any window or more than 3 window-lengths late.
     """
 
-    def __init__(self, timestamps_by_file, windows_by_file):
+    def __init__(self, times_by_file, windows_by_file):
         times, window, curve = [], [], []
         self.n_windows = 0
-        for name, stamps in timestamps_by_file.items():
-            t = _micros(stamps)
+        for name, t in times_by_file.items():
             windows = sorted(windows_by_file.get(name, []), key=lambda w: w.start)
             for a, b in zip(windows, windows[1:]):
                 if b.start <= a.end:
@@ -279,12 +272,22 @@ class _Sweep:
         return float(self.candidates[k]) + 0.0, float(totals[k])
 
 
-def _sweep_outputs(outputs: dict[str, list], windows_by_file) -> tuple[_Corpus, _Sweep]:
+def _columns(output) -> tuple[np.ndarray, np.ndarray]:
+    """A score stream as (int64 microsecond times, float64 scores): a tuple
+    of columns passes as it is, a list of (datetime, score) pairs is
+    converted."""
+    if isinstance(output, tuple):
+        times, scores = output
+        return times, np.asarray(scores, dtype=float)
+    return _micros([t for t, _ in output]), np.array([s for _, s in output], dtype=float)
+
+
+def _sweep_outputs(outputs: dict, windows_by_file) -> tuple[_Corpus, _Sweep]:
     if not outputs:
         raise ValidationError("empty corpus")
-    corpus = _Corpus({name: [t for t, _ in output] for name, output in outputs.items()},
-                     windows_by_file)
-    scores = np.array([s for output in outputs.values() for _, s in output], dtype=float)
+    columns = {name: _columns(output) for name, output in outputs.items()}
+    corpus = _Corpus({name: times for name, (times, _) in columns.items()}, windows_by_file)
+    scores = np.concatenate([scores for _, scores in columns.values()])
     return corpus, _Sweep(corpus, scores)
 
 
@@ -312,7 +315,9 @@ def oracle_outputs(timestamps_by_file: dict[str, list[datetime]],
                    windows_by_file: dict[str, list[AnomalyWindow]]) -> dict[str, list]:
     """Perfect-detector score streams: 1.0 exactly at the first record inside
     each window, 0.0 everywhere else."""
-    scores = iter(_Corpus(timestamps_by_file, windows_by_file).oracle_scores().tolist())
+    corpus = _Corpus({name: _micros(ts) for name, ts in timestamps_by_file.items()},
+                     windows_by_file)
+    scores = iter(corpus.oracle_scores().tolist())
     return {name: [(t, next(scores)) for t in timestamps]
             for name, timestamps in timestamps_by_file.items()}
 
@@ -321,12 +326,17 @@ def null_outputs(timestamps_by_file: dict[str, list[datetime]]) -> dict[str, lis
     return {name: [(t, _NULL_SCORE) for t in ts] for name, ts in timestamps_by_file.items()}
 
 
-def benchmark(detector_name: str, outputs: dict[str, list],
+def benchmark(detector_name: str, outputs: dict,
               windows_by_file: dict[str, list[AnomalyWindow]],
               profiles) -> list[BenchmarkResult]:
     """Full corpus evaluation: optimize the threshold per profile, then
     normalize against the null detector and the perfect oracle. The corpus
-    is classified once; the three streams and every profile share it."""
+    is classified once; the three streams and every profile share it.
+
+    ``outputs`` maps a file name to its score stream: a ``(times, scores)``
+    tuple of int64 microsecond and float64 columns, as ``read_scores``
+    gives, or a list of (datetime, score) pairs, as ``oracle_outputs`` and
+    ``null_outputs`` give."""
     corpus, detector = _sweep_outputs(outputs, windows_by_file)
     null = _Sweep(corpus, np.full(len(corpus.window), _NULL_SCORE))
     oracle = _Sweep(corpus, corpus.oracle_scores())

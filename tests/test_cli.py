@@ -49,7 +49,7 @@ class TestRunCommand:
         out = tmp_path / "out"
         main(["run", "--corpus", str(corpus), "--output", str(out),
               "--detector", "null"])
-        scores = [s for _, _, s in read_scores(out / "series_0.csv")]
+        scores = read_scores(out / "series_0.csv").scores.tolist()
         assert scores[:9] == [0.0] * 9 and scores[9] == 0.5
 
     def test_rerun_is_byte_identical(self, tmp_path):
@@ -67,7 +67,7 @@ class TestRunCommand:
         rc = main(["run", "--corpus", str(corpus), "--output", str(out),
                    "--detector", "threshold", "--param", "threshold=5.0"])
         assert rc == 0
-        scores = [s for _, _, s in read_scores(out / "series_0.csv")]
+        scores = read_scores(out / "series_0.csv").scores.tolist()
         assert scores[40] == 1.0 and sum(scores) == 1.0
 
     def test_config_file_drives_run(self, tmp_path):
@@ -243,6 +243,32 @@ class TestScoreCommand:
                    "--labels", str(labels), "--output", str(tmp_path / "r")])
         assert rc == 2
 
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "1.5"])
+    def test_score_outside_unit_interval_exits_2(self, tmp_path, capsys, score):
+        corpus, labels = make_corpus(tmp_path)
+        scores_dir = tmp_path / "scores"
+        main(["run", "--corpus", str(corpus), "--output", str(scores_dir),
+              "--detector", "null"])
+        path = scores_dir / "series_1.csv"
+        lines = path.read_text().splitlines()
+        lines[20] = lines[20].rsplit(",", 1)[0] + "," + score
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(["score", "--scores", str(scores_dir),
+                   "--labels", str(labels), "--output", str(tmp_path / "r")])
+        assert rc == 2
+        assert "series_1.csv:21: score" in capsys.readouterr().err
+        assert not (tmp_path / "r" / "results.json").exists()
+
+    def test_missing_labels_exit_2(self, tmp_path, capsys):
+        corpus, _ = make_corpus(tmp_path)
+        scores_dir = tmp_path / "scores"
+        main(["run", "--corpus", str(corpus), "--output", str(scores_dir),
+              "--detector", "null"])
+        rc = main(["score", "--scores", str(scores_dir),
+                   "--labels", str(tmp_path / "nope.json"), "--output", str(tmp_path / "r")])
+        assert rc == 2
+        assert "nope.json: cannot read" in capsys.readouterr().err
+
     def test_table_printed(self, tmp_path, capsys):
         self.run_and_score(tmp_path, "null")
         out = capsys.readouterr().out
@@ -303,6 +329,39 @@ class TestInspectCommand:
         rc = main(["inspect", str(corpus / "series_0.csv")])
         assert rc == 0
         assert "60 rows" in capsys.readouterr().out
+
+    def test_inspect_run_output(self, tmp_path, capsys):
+        corpus, _ = make_corpus(tmp_path)
+        out = tmp_path / "out"
+        main(["run", "--corpus", str(corpus), "--output", str(out), "--detector", "null"])
+        capsys.readouterr()
+        assert main(["inspect", str(out / "series_0.csv")]) == 0
+        assert capsys.readouterr().out == (
+            f"{out / 'series_0.csv'}: 60 rows, span 2021-01-01 00:00:00 .. "
+            "2021-01-01 00:59:00, value range [1.0, 10.0]\n")
+
+    def test_inspect_scores(self, tmp_path, capsys):
+        # time zones, fractions, a blank line and a CRLF line end
+        path = tmp_path / "scores.csv"
+        path.write_bytes(b"timestamp,value,anomaly_score\n"
+                         b"2021-01-01T00:00:00.250+02:00,0.0,0.0\n\n"
+                         b"2020-12-31T22:00:01,-0.0,1.0\r\n"
+                         b"2020-12-31T22:00:01.5,-2.5,0.5\n"
+                         b"2020-12-31T22:00:02Z,1e-05,0.25\n"
+                         b"2020-12-31 22:00:03.000001,3,1\n")
+        assert main(["inspect", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            f"{path}: 5 rows, span 2020-12-31 22:00:00.250000 .. "
+            "2020-12-31 22:00:03.000001, value range [-2.5, 3.0]\n")
+
+    @pytest.mark.parametrize("name", ["nope.csv", "nope.json"])
+    def test_missing_file_exits_2(self, tmp_path, capsys, name):
+        assert main(["inspect", str(tmp_path / name)]) == 2
+        assert f"{name}: cannot read" in capsys.readouterr().err
+
+    def test_directory_exits_2(self, tmp_path):
+        (tmp_path / "d.csv").mkdir()
+        assert main(["inspect", str(tmp_path / "d.csv")]) == 2
 
     def test_inspect_labels(self, tmp_path, capsys):
         _, labels = make_corpus(tmp_path)

@@ -5,6 +5,7 @@ import math
 import random
 from datetime import datetime, timedelta
 
+import numpy as np
 import pytest
 
 from htmpm.cli import main
@@ -294,6 +295,24 @@ class TestSweepMatchesBruteForce:
                 assert r.normalized_score == pytest.approx(
                     normalize(raw, null_raw, perfect_raw), abs=1e-9)
             checked += 1
+
+    def test_columns_score_as_pairs(self):
+        """(int64 microseconds, float64 scores) columns, as read_scores
+        gives, score exactly as the same streams given as pairs."""
+        def outcome(outputs, wbf):
+            try:
+                return benchmark("x", outputs, wbf, self.PROFILES)
+            except ValidationError as exc:
+                return str(exc)
+
+        rng = random.Random(2)
+        epoch, micro = datetime(1970, 1, 1), timedelta(microseconds=1)
+        for _ in range(40):
+            outputs, wbf = random_corpus(rng)
+            columns = {n: (np.array([(t - epoch) // micro for t, _ in o], dtype=np.int64),
+                           np.array([s for _, s in o]))
+                       for n, o in outputs.items()}
+            assert outcome(columns, wbf) == outcome(outputs, wbf)
 
 
 class TestWindowsMustBeDisjoint:

@@ -1,21 +1,184 @@
 """CSV series/score files and the JSON label/window documents."""
 
 import json
-from datetime import datetime, timedelta
+import random
+from datetime import datetime, timedelta, timezone
+from math import isfinite
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from htmpm.errors import DataError, StreamError
 from htmpm.nab import AnomalyWindow
-from htmpm.series import (parse_timestamp, read_labels, read_scores,
-                          read_series, write_labels, write_scores,
-                          write_series, write_windows)
+from htmpm.series import (SCORES_HEADER, SERIES_HEADER, parse_timestamp,
+                          read_columns, read_labels, read_scores, read_series,
+                          write_labels, write_scores, write_series,
+                          write_windows)
 
 T0 = datetime(2021, 3, 1, 12, 0, 0)
+EPOCH = datetime(1970, 1, 1)
 
 
 def sample_records(n=5):
     return [(T0 + timedelta(minutes=i), float(i) * 1.5) for i in range(n)]
+
+
+def micros(t):
+    return (t - EPOCH) // timedelta(microseconds=1)
+
+
+# Line-by-line readers: the reference the column parser is tested against.
+
+def reference_read_series(path):
+    path = Path(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0] != SERIES_HEADER:
+        found = lines[0] if lines else "<empty file>"
+        raise DataError(f"{path}: expected header {SERIES_HEADER!r}, found {found!r}")
+    records = []
+    prev_ts = None
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise DataError(f"{path}:{lineno}: malformed row {line!r}")
+        ts = parse_timestamp(parts[0])
+        try:
+            value = float(parts[1])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad value {parts[1]!r}") from None
+        if not isfinite(value):
+            raise DataError(f"{path}:{lineno}: non-finite value {parts[1]!r}")
+        if prev_ts is not None and ts < prev_ts:
+            raise StreamError(f"{path}:{lineno}: timestamps out of order")
+        prev_ts = ts
+        records.append((ts, value))
+    if not records:
+        raise DataError(f"{path}: no data rows")
+    return records
+
+
+def reference_read_scores(path):
+    """Rows of (timestamp, value, score)."""
+    path = Path(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0] != SCORES_HEADER:
+        found = lines[0] if lines else "<empty file>"
+        raise DataError(f"{path}: expected header {SCORES_HEADER!r}, found {found!r}")
+    rows = []
+    prev_ts = None
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise DataError(f"{path}:{lineno}: malformed row {line!r}")
+        ts = parse_timestamp(parts[0])
+        try:
+            value, score = float(parts[1]), float(parts[2])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad number in {line!r}") from None
+        if not isfinite(value):
+            raise DataError(f"{path}:{lineno}: non-finite value {parts[1]!r}")
+        if not 0.0 <= score <= 1.0:
+            raise DataError(f"{path}:{lineno}: score {parts[2]!r} outside [0, 1]")
+        if prev_ts is not None and ts < prev_ts:
+            raise StreamError(f"{path}:{lineno}: timestamps out of order")
+        prev_ts = ts
+        rows.append((ts, value, score))
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    return rows
+
+
+def read_both(path, scores):
+    """The parser's and the reference's outcome: ("ok", records) or
+    ("error", type, message). Score columns are compared bit for bit."""
+    def outcome(read, as_records):
+        try:
+            return "ok", as_records(read(path))
+        except DataError as exc:
+            return "error", type(exc), str(exc)
+
+    def bits(values):
+        return np.asarray(values, dtype=float).tobytes()
+
+    if not scores:
+        return (outcome(read_series, list), outcome(reference_read_series, list))
+    return (
+        outcome(read_scores, lambda c: (c.times.dtype, c.times.tolist(),
+                                        bits(c.values), bits(c.scores))),
+        outcome(reference_read_scores, lambda rows: (
+            np.dtype(np.int64), [micros(t) for t, _, _ in rows],
+            bits([v for _, v, _ in rows]), bits([s for _, _, s in rows]))),
+    )
+
+
+def random_stamp(rng, instant, timespec):
+    """``instant`` (naive UTC) in one of the ISO-8601 spellings files use."""
+    offset = rng.choice([None, None, timedelta(0), timedelta(hours=2),
+                         timedelta(hours=-5, minutes=-30)])
+    t = instant if offset is None else (instant + offset).replace(tzinfo=timezone(offset))
+    text = t.isoformat(sep=rng.choice("T "), timespec=timespec)
+    return text.replace("+00:00", "Z") if rng.random() < 0.5 else text
+
+
+def random_rows(rng, n, scores):
+    """Data lines with non-decreasing instants, some equal, written with
+    0, 3 or 6 fractional digits."""
+    instant = shown = datetime(2021, 1, 1) + timedelta(microseconds=rng.randrange(10**12))
+    rows = []
+    for _ in range(n):
+        instant += rng.choice([timedelta(0), timedelta(milliseconds=20),
+                               timedelta(microseconds=rng.randrange(1, 10**7))])
+        timespec, unit = rng.choice([("seconds", 10**6), ("milliseconds", 10**3),
+                                     ("microseconds", 1)])
+        truncated = instant.replace(microsecond=instant.microsecond // unit * unit)
+        if truncated < shown:
+            timespec, truncated = "microseconds", instant
+        shown = truncated
+        value = rng.choice([repr(rng.gauss(0, 5)), str(rng.randrange(-9, 10)), "-0.0", "1e-05"])
+        fields = [random_stamp(rng, shown, timespec), value]
+        if scores:
+            fields.append(rng.choice(["0.0", "1.0", "1", repr(rng.random())]))
+        rows.append(",".join(fields))
+    return rows
+
+
+def write_file(path, header, rows, rng):
+    """Rows with blank or whitespace-only lines between them and mixed
+    LF/CRLF line ends."""
+    lines = [header]
+    for row in rows:
+        while rng.random() < 0.15:
+            lines.append(rng.choice(["", "   ", "\t"]))
+        lines.append(row)
+    path.write_bytes("".join(line + rng.choice(["\n", "\r\n"]) for line in lines).encode())
+
+
+def inject_fault(rng, row):
+    """``row`` with one fault of a line-by-line reader's checks."""
+    fields = row.split(",")
+    k = rng.randrange(len(fields))
+    number = rng.randrange(1, len(fields)) if len(fields) > 1 else 0
+    fault = rng.randrange(7)
+    if fault == 0:
+        fields.append("7")
+    elif fault == 1:
+        del fields[k]
+    elif fault == 2:
+        fields[k] = ""
+    elif fault == 3:
+        fields[0] = rng.choice(["yesterday", "2021", "NaT", "2021-13-01T00:00:00"])
+    elif fault == 4:
+        fields[number] = rng.choice(["abc", "1.0.0", "0x10"])
+    elif fault == 5:
+        fields[number] = rng.choice(["nan", "inf", "-inf", "1.5", "-1"])
+    else:
+        fields[0] = "2020-12-31T00:00:00"
+    return ",".join(fields)
 
 
 class TestTimestamps:
@@ -88,14 +251,96 @@ class TestSeriesRoundTrip:
             read_series(path)
 
 
+class TestColumnParserMatchesReference:
+    @pytest.mark.parametrize("scores", [False, True], ids=["series", "scores"])
+    @pytest.mark.parametrize("seed", range(15))
+    def test_random_files(self, tmp_path, seed, scores):
+        rng = random.Random(seed)
+        path = tmp_path / "f.csv"
+        rows = random_rows(rng, rng.randrange(1, 80), scores)
+        write_file(path, SCORES_HEADER if scores else SERIES_HEADER, rows, rng)
+        got, want = read_both(path, scores)
+        assert want[0] == "ok"
+        assert got == want
+
+    @pytest.mark.parametrize("scores", [False, True], ids=["series", "scores"])
+    @pytest.mark.parametrize("stamp, accepted", [
+        # numpy's datetime64 parser takes the first two and rejects the rest
+        ("NaT", False), ("2021", False),
+        ("20210101T000000", True), ("2021-W01-1", True),
+        ("2021-01-01T00:00:00,5", False),
+    ])
+    def test_fixed_stamps(self, tmp_path, scores, stamp, accepted):
+        path = tmp_path / "f.csv"
+        header = SCORES_HEADER if scores else SERIES_HEADER
+        row = f"{stamp},1.0,0.5" if scores else f"{stamp},1.0"
+        path.write_text(f"{header}\n2020-12-31T00:00:00{row[len(stamp):]}\n{row}\n")
+        got, want = read_both(path, scores)
+        assert got == want
+        assert (want[0] == "ok") == accepted
+
+    @pytest.mark.parametrize("scores, bad_row, message", [
+        (False, "2021-03-01T12:02:00,1.0,9", "bad.csv:4: malformed row"),
+        (False, ",1.0", "bad.csv:4: malformed row"),
+        (False, "2021-03-01T12:02:00,", "bad.csv:4: malformed row"),
+        (False, "noon,1.0", "bad timestamp 'noon'"),
+        (False, "2021-03-01T12:02:00,1.o", "bad.csv:4: bad value '1.o'"),
+        (False, "2021-03-01T12:02:00,inf", "bad.csv:4: non-finite value 'inf'"),
+        (False, "2021-03-01T11:00:00,1.0", "bad.csv:4: timestamps out of order"),
+        (True, "2021-03-01T12:02:00,1.0,0.5,9", "bad.csv:4: malformed row"),
+        (True, "2021-03-01T12:02:00,1.0", "bad.csv:4: malformed row"),
+        (True, ",1.0,0.5", "bad timestamp ''"),
+        (True, "noon,1.0,0.5", "bad timestamp 'noon'"),
+        (True, "2021-03-01T12:02:00,,0.5", "bad.csv:4: bad number in"),
+        (True, "2021-03-01T12:02:00,1.0,1.o", "bad.csv:4: bad number in"),
+        (True, "2021-03-01T12:02:00,-inf,0.5", "bad.csv:4: non-finite value '-inf'"),
+        (True, "2021-03-01T12:02:00,1.0,nan", "bad.csv:4: score 'nan' outside [0, 1]"),
+        (True, "2021-03-01T11:00:00,1.0,0.5", "bad.csv:4: timestamps out of order"),
+        # two faults in one row: the first check a line-by-line reader
+        # applies names it
+        (False, "noon,inf", "bad timestamp 'noon'"),
+        (True, "noon,1.o,0.5", "bad timestamp 'noon'"),
+        (True, "2021-03-01T12:02:00,inf,1.5", "bad.csv:4: non-finite value 'inf'"),
+        (True, "2021-03-01T11:00:00,1.0,1.5", "bad.csv:4: score '1.5' outside [0, 1]"),
+    ])
+    def test_malformed(self, tmp_path, scores, bad_row, message):
+        # the bad row follows a blank line, so its line number counts it
+        path = tmp_path / "bad.csv"
+        header = SCORES_HEADER if scores else SERIES_HEADER
+        good = "2021-03-01T12:00:00,1.0,0.5" if scores else "2021-03-01T12:00:00,1.0"
+        path.write_text(f"{header}\n{good}\n\n{bad_row}\n{good}\n")
+        got, want = read_both(path, scores)
+        assert want[0] == "error"
+        assert got == want
+        assert message in got[2]
+
+    @pytest.mark.parametrize("scores", [False, True], ids=["series", "scores"])
+    def test_random_faults(self, tmp_path, scores):
+        """Up to three faults in one file: both name the first bad line and
+        the first of its checks that fails."""
+        path = tmp_path / "f.csv"
+        for seed in range(200):
+            rng = random.Random(seed)
+            rows = random_rows(rng, rng.randrange(2, 40), scores)
+            for _ in range(rng.randrange(1, 4)):
+                i = rng.randrange(len(rows))
+                rows[i] = inject_fault(rng, rows[i])
+            write_file(path, SCORES_HEADER if scores else SERIES_HEADER, rows, rng)
+            got, want = read_both(path, scores)
+            assert got == want, f"seed {seed}"
+
+
 class TestScores:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "scores.csv"
         records = sample_records(3)
         write_scores(path, records, [0.0, 0.25, 1.0])
-        rows = read_scores(path)
-        assert [(t, v) for t, v, _ in rows] == records
-        assert [s for _, _, s in rows] == [0.0, 0.25, 1.0]
+        columns = read_scores(path)
+        assert len(columns) == 3
+        assert columns.times.tolist() == [micros(t) for t, _ in records]
+        assert columns.values.tolist() == [v for _, v in records]
+        assert columns.scores.tolist() == [0.0, 0.25, 1.0]
+        assert columns.span() == (records[0][0], records[-1][0])
 
     def test_length_mismatch_rejected(self, tmp_path):
         with pytest.raises(DataError):
@@ -118,7 +363,54 @@ class TestScores:
     def test_equal_timestamps_accepted(self, tmp_path):
         path = tmp_path / "s.csv"
         write_scores(path, [(T0, 1.0), (T0, 2.0)], [0.5, 0.5])
-        assert [t for t, _, _ in read_scores(path)] == [T0, T0]
+        assert read_scores(path).times.tolist() == [micros(T0)] * 2
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "1.5", "-0.5"])
+    def test_score_outside_unit_interval_rejected(self, tmp_path, score):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{SCORES_HEADER}\n2021-03-01T12:00:00,1.0,0.5\n\n"
+                        f"2021-03-01T12:01:00,1.0,{score}\n")
+        with pytest.raises(DataError, match=rf"bad.csv:4: score '{score}' outside \[0, 1\]"):
+            read_scores(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{SCORES_HEADER}\n2021-03-01T12:00:00,{value},0.5\n")
+        with pytest.raises(DataError, match=f"bad.csv:2: non-finite value '{value}'"):
+            read_scores(path)
+
+
+class TestReadColumns:
+    def test_series_file(self, tmp_path):
+        path = tmp_path / "s.csv"
+        write_series(path, sample_records(4))
+        columns = read_columns(path)
+        assert columns.scores is None
+        assert columns.values.tolist() == [v for _, v in sample_records(4)]
+
+    def test_score_file(self, tmp_path):
+        path = tmp_path / "s.csv"
+        write_scores(path, sample_records(2), [0.0, 1.0])
+        assert read_columns(path).scores.tolist() == [0.0, 1.0]
+
+    def test_score_header_checked(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("timestamp,anomaly_score\n2021-03-01T12:00:00,0.5\n")
+        with pytest.raises(DataError, match="expected header 'timestamp,value,anomaly_score'"):
+            read_columns(path)
+
+
+class TestUnreadableFiles:
+    @pytest.mark.parametrize("read", [read_series, read_scores, read_columns, read_labels])
+    def test_missing_file(self, tmp_path, read):
+        with pytest.raises(DataError, match="nope: cannot read"):
+            read(tmp_path / "nope")
+
+    @pytest.mark.parametrize("read", [read_series, read_scores, read_labels])
+    def test_directory(self, tmp_path, read):
+        with pytest.raises(DataError, match="cannot read"):
+            read(tmp_path)
 
 
 class TestLabelsAndWindows:
