@@ -24,8 +24,9 @@ from .detectors import DETECTOR_KINDS, DetectorConfig, run_file
 from .errors import DataError, HtmpmError, ValidationError
 from .nab import PROFILES, benchmark, make_windows
 from .psd_synth import DegradationModel, SynthSpec, generate_degradation, psd_map
-from .series import (read_columns, read_labels, read_scores, read_series,
-                     write_labels, write_scores, write_series, write_windows)
+from .series import (Columns, _micros, _naive_utc, read_columns, read_labels,
+                     read_scores, read_series, write_labels, write_scores,
+                     write_series, write_windows)
 
 def _config_hash(cfg: RunConfig) -> str:
     canonical = json.dumps({
@@ -128,6 +129,16 @@ def cmd_score(scores_dir, labels_path, profiles, output_dir,
     return results
 
 
+def _sample_times(start: datetime, n: int, rate: float) -> np.ndarray:
+    """int64 microseconds since 1970-01-01 of ``n`` samples at ``rate`` Hz
+    from ``start``: exactly ``start + timedelta(seconds=j / rate)``, which
+    adds the whole seconds and rounds the fraction to the nearest
+    microsecond, ties to even."""
+    frac, whole = np.modf(np.arange(n) / rate)
+    offsets = whole.astype(np.int64) * 1_000_000 + np.rint(frac * 1e6).astype(np.int64)
+    return _micros([_naive_utc(start)]) + offsets
+
+
 def cmd_synth_generate(output_dir, n_files, duration, sample_rate, seed,
                        start_time=None):
     """Seeded degradation corpus: one CSV per file plus a labels JSON."""
@@ -159,12 +170,9 @@ def cmd_synth_generate(output_dir, n_files, duration, sample_rate, seed,
         values, label_times = generate_degradation(
             model, duration, sample_rate, seed=file_seed
         )
-        records = [
-            (start_time + timedelta(seconds=j / sample_rate), float(v))
-            for j, v in enumerate(values)
-        ]
         name = f"degradation_{i:02d}.csv"
-        write_series(output_dir / name, records)
+        times = _sample_times(start_time, len(values), sample_rate)
+        write_series(output_dir / name, Columns(times, values))
         labels_doc[name] = [
             start_time + timedelta(seconds=t) for t in label_times
         ]
@@ -173,13 +181,10 @@ def cmd_synth_generate(output_dir, n_files, duration, sample_rate, seed,
 
 
 def cmd_synth_map(bearing_path, target_path, output_path, spec: SynthSpec):
-    bearing = np.array([v for _, v in read_series(bearing_path)])
-    target_records = read_series(target_path)
-    target = np.array([v for _, v in target_records])
-    mapped = psd_map(bearing, target, spec)
-    write_series(output_path, [
-        (ts, float(v)) for (ts, _), v in zip(target_records, mapped)
-    ])
+    bearing = read_columns(bearing_path).values
+    target = read_columns(target_path)
+    mapped = psd_map(bearing, target.values, spec)
+    write_series(output_path, Columns(target.times, mapped))
     return output_path
 
 

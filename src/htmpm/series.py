@@ -5,12 +5,23 @@ Series files carry the exact header ``timestamp,value``; score files carry
 UTC and stored naive; fractional seconds are preserved. Floats are written
 with shortest round-trip repr so reruns are byte-identical.
 
+Both kinds are written by one column writer. ``write_series`` and
+``write_scores`` take ``(datetime, float)`` pairs or ``Columns``; pairs
+become columns first. Timestamps are formatted from int64 microseconds by
+``np.datetime_as_string``, with a whole second written without a fraction
+as ``datetime.isoformat`` writes it; each number column is one ``map(repr,
+...)`` over Python floats, and the file is one join. Records the readers
+would refuse are refused before the file is opened, naming the path and
+the record's index: a non-finite value or a score outside [0, 1]
+(``DataError``), a timestamp outside the years 1 to 9999 (``DataError``)
+and timestamps out of order (``StreamError``).
+
 Both kinds go through one column parser. It splits the whole file into
 fields at once and parses each column with one ``map``
 (``datetime.fromisoformat`` for the timestamps, ``float`` for the
-numbers); field counts, finiteness, the score range [0, 1] and the
-timestamp order are checked a column at a time. Blank lines are skipped,
-but an error still names ``path:line`` counting them. ``read_series``
+numbers); field counts, timestamps, finiteness, the score range [0, 1]
+and the timestamp order are checked a column at a time. Blank lines are
+skipped, but an error still names ``path:line`` counting them. ``read_series``
 returns ``(datetime, float)`` pairs, the records the detectors step
 through. ``read_scores`` returns ``Columns``: ``times`` as int64
 microseconds since 1970-01-01 (naive UTC), and ``values`` and ``scores``
@@ -23,7 +34,7 @@ import json
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from itertools import compress, count, islice, repeat
-from operator import attrgetter, lt
+from operator import attrgetter, itemgetter, lt
 from pathlib import Path
 
 import numpy as np
@@ -52,9 +63,7 @@ def parse_timestamp(text: str) -> datetime:
 
 
 def format_timestamp(ts: datetime) -> str:
-    if ts.tzinfo is not None:
-        ts = ts.astimezone(timezone.utc).replace(tzinfo=None)
-    return ts.isoformat()
+    return _naive_utc(ts).isoformat()
 
 
 def _micros(stamps) -> np.ndarray:
@@ -67,6 +76,9 @@ def _micros(stamps) -> np.ndarray:
     days, seconds, micros = (np.fromiter(map(attrgetter(f), offsets), np.int64, n)
                              for f in ("days", "seconds", "microseconds"))
     return (days * 86400 + seconds) * 1_000_000 + micros
+
+
+_FIRST_US, _LAST_US = _micros([datetime.min, datetime.max])
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,7 +172,7 @@ def _parse(path, header=None) -> tuple[list[datetime], list[np.ndarray]]:
     if not scores and "" in fields:  # both fields of a series row are required
         bad.at(fields.index("") // width, *malformed)
     texts = [fields[k:bad.row * width:width] for k in range(width)]
-    # a None template: parse_timestamp raises the message
+    # a None template: parse_timestamp words the message
     stamps = bad.parse(datetime.fromisoformat, texts[0], DataError, None, 0)
     if any(map(_TZINFO, stamps)):
         stamps = list(map(_naive_utc, stamps))
@@ -179,7 +191,10 @@ def _parse(path, header=None) -> tuple[list[datetime], list[np.ndarray]]:
         error, template, k = bad.fault
         field = line.split(",")[k]
         if template is None:
-            parse_timestamp(field)
+            try:
+                parse_timestamp(field)
+            except DataError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
         raise error(f"{path}:{lineno}: " + template.format(line=line, field=field))
     if not rows:
         raise DataError(f"{path}: no data rows")
@@ -202,21 +217,61 @@ def read_columns(path) -> Columns:
     return Columns(_micros(stamps), *columns)
 
 
+def _as_columns(records) -> Columns:
+    """``(datetime, float)`` pairs as columns; ``Columns`` as they are."""
+    if isinstance(records, Columns):
+        return records
+    stamps = list(map(itemgetter(0), records))
+    if any(map(_TZINFO, stamps)):
+        stamps = list(map(_naive_utc, stamps))
+    values = np.fromiter(map(itemgetter(1), records), float, len(records))
+    return Columns(_micros(stamps), values)
+
+
+def _refuse(path, mask: np.ndarray, error, template: str, column: np.ndarray) -> None:
+    """Raise ``error`` for the first record flagged in ``mask``."""
+    hits = np.flatnonzero(mask)
+    if len(hits):
+        i = int(hits[0])
+        raise error(f"{path}: record {i}: " + template.format(column[i].item()))
+
+
+def _write_columns(path, columns: Columns) -> None:
+    """The one CSV writer: a series file, or a score file when ``columns``
+    has scores. A record the matching reader would refuse is refused before
+    the file is opened."""
+    times, values, scores = columns.times, columns.values, columns.scores
+    _refuse(path, ~np.isfinite(values), DataError, "non-finite value {!r}", values)
+    if scores is not None:
+        _refuse(path, ~((scores >= 0.0) & (scores <= 1.0)), DataError,
+                "score {!r} outside [0, 1]", scores)
+    _refuse(path, (times < _FIRST_US) | (times > _LAST_US), DataError,
+            "timestamp outside the years 1 to 9999", times)
+    _refuse(path, np.r_[False, times[1:] < times[:-1]], StreamError,
+            "timestamps out of order", times)
+    instants = times.astype("datetime64[us]")
+    stamps = np.datetime_as_string(instants, unit="us")
+    whole = times % 1_000_000 == 0  # isoformat omits a zero fraction
+    stamps[whole] = np.datetime_as_string(instants[whole].astype("datetime64[s]"), unit="s")
+    # repr of Python floats: numpy 2 spells a float64's repr np.float64(...)
+    fields = [stamps.tolist()] + [list(map(repr, c.tolist()))
+                                  for c in (values, scores) if c is not None]
+    header = SERIES_HEADER if scores is None else SCORES_HEADER
+    Path(path).write_text("\n".join([header, *map(",".join, zip(*fields))]) + "\n")
+
+
 def write_series(path, records) -> None:
-    lines = [SERIES_HEADER]
-    lines += [f"{format_timestamp(ts)},{value!r}" for ts, value in records]
-    Path(path).write_text("\n".join(lines) + "\n")
+    """``(datetime, float)`` pairs, or ``Columns``, as a series file."""
+    _write_columns(path, _as_columns(records))
 
 
 def write_scores(path, records, scores) -> None:
+    """Records as ``write_series`` takes them, and one score per record,
+    as a score file."""
     if len(records) != len(scores):
         raise DataError(f"{len(scores)} scores for {len(records)} records")
-    lines = [SCORES_HEADER]
-    lines += [
-        f"{format_timestamp(ts)},{value!r},{score!r}"
-        for (ts, value), score in zip(records, scores)
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")
+    columns = _as_columns(records)
+    _write_columns(path, Columns(columns.times, columns.values, np.asarray(scores, dtype=float)))
 
 
 def read_labels(path) -> dict[str, list[datetime]]:
@@ -230,10 +285,13 @@ def read_labels(path) -> dict[str, list[datetime]]:
     for name, instants in doc.items():
         if not isinstance(instants, list) or not all(isinstance(t, str) for t in instants):
             raise DataError(f"{path}: labels of {name!r} must be a list of timestamp strings")
-    return {
-        name: [parse_timestamp(t) for t in instants]
-        for name, instants in doc.items()
-    }
+    labels = {}
+    for name, instants in doc.items():
+        try:
+            labels[name] = list(map(parse_timestamp, instants))
+        except DataError as exc:
+            raise DataError(f"{path}: labels of {name!r}: {exc}") from None
+    return labels
 
 
 def write_labels(path, labels: dict) -> None:

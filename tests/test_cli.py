@@ -2,11 +2,11 @@
 
 import json
 import pickle
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from htmpm.cli import main
+from htmpm.cli import _sample_times, cmd_synth_generate, main
 from htmpm.series import (read_scores, read_series, write_labels,
                           write_series)
 
@@ -127,6 +127,18 @@ class TestRunCommand:
         assert rc == 2
         assert not (out / "series_0.csv").exists()
 
+    @pytest.mark.parametrize("stamp", ["noon", "2021-13-01T00:00:00"])
+    def test_bad_timestamp_names_file_and_line(self, tmp_path, capsys, stamp):
+        corpus, _ = make_corpus(tmp_path, n_files=1)
+        path = corpus / "series_0.csv"
+        lines = path.read_text().splitlines()
+        lines[30] = stamp + "," + lines[30].split(",")[1]
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(["run", "--corpus", str(corpus), "--output", str(tmp_path / "out"),
+                   "--detector", "null"])
+        assert rc == 2
+        assert f"series_0.csv:31: bad timestamp {stamp!r}" in capsys.readouterr().err
+
     def test_empty_corpus_exits_2(self, tmp_path):
         (tmp_path / "corpus").mkdir()
         rc = main(["run", "--corpus", str(tmp_path / "corpus"),
@@ -243,6 +255,17 @@ class TestScoreCommand:
                    "--labels", str(labels), "--output", str(tmp_path / "r")])
         assert rc == 2
 
+    def test_bad_label_instant_names_labels_file_and_series(self, tmp_path, capsys):
+        corpus, labels = make_corpus(tmp_path)
+        scores_dir = tmp_path / "scores"
+        main(["run", "--corpus", str(corpus), "--output", str(scores_dir),
+              "--detector", "null"])
+        labels.write_text('{"series_1.csv": ["2021-01-01T00:40:00", "noon"]}')
+        rc = main(["score", "--scores", str(scores_dir),
+                   "--labels", str(labels), "--output", str(tmp_path / "r")])
+        assert rc == 2
+        assert "labels.json: labels of 'series_1.csv': bad timestamp 'noon'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "1.5"])
     def test_score_outside_unit_interval_exits_2(self, tmp_path, capsys, score):
         corpus, labels = make_corpus(tmp_path)
@@ -295,6 +318,30 @@ class TestSynthCommand:
         main([*args, "--output", str(b)])
         assert ((a / "degradation_00.csv").read_bytes()
                 == (b / "degradation_00.csv").read_bytes())
+
+    @pytest.mark.parametrize("rate", [50.0, 0.3, 44100 / 997, 2e6, 4e6, 2e6 / 3])
+    @pytest.mark.parametrize("start", [
+        T0, datetime(2021, 5, 6, 7, 8, 9, 123457),
+        datetime(2021, 1, 1, 5, 30, tzinfo=timezone(timedelta(hours=5, minutes=30))),
+    ], ids=["whole", "micros", "tz"])
+    def test_sample_times_match_per_row_timedelta(self, rate, start):
+        # at 2e6, 4e6 and 2e6/3 Hz many offsets fall halfway between two
+        # microseconds, where timedelta rounds to even
+        n = 20_000
+        utc = start.astimezone(timezone.utc).replace(tzinfo=None) if start.tzinfo else start
+        want = [(utc + timedelta(seconds=j / rate) - datetime(1970, 1, 1)) // timedelta(microseconds=1)
+                for j in range(n)]
+        assert _sample_times(start, n, rate).tolist() == want
+
+    @pytest.mark.parametrize("rate, start", [
+        (44100 / 997, datetime(2021, 5, 6, 7, 8, 9, 123457)), (2e6 / 3, T0)])
+    def test_generate_writes_per_row_stamps(self, tmp_path, rate, start):
+        cmd_synth_generate(tmp_path / "c", 1, 3000 / rate, rate, 3, start_time=start)
+        path = tmp_path / "c" / "degradation_00.csv"
+        records = read_series(path)
+        per_row = [(start + timedelta(seconds=j / rate), v) for j, (_, v) in enumerate(records)]
+        write_series(tmp_path / "per_row.csv", per_row)
+        assert path.read_bytes() == (tmp_path / "per_row.csv").read_bytes()
 
     def test_map_identity_on_stationary_bearing(self, tmp_path):
         n = 600

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from datetime import datetime, timedelta, timezone
 from math import isfinite
 from pathlib import Path
@@ -11,8 +12,8 @@ import pytest
 
 from htmpm.errors import DataError, StreamError
 from htmpm.nab import AnomalyWindow
-from htmpm.series import (SCORES_HEADER, SERIES_HEADER, parse_timestamp,
-                          read_columns, read_labels, read_scores, read_series,
+from htmpm.series import (SCORES_HEADER, SERIES_HEADER, Columns,
+                          parse_timestamp, read_columns, read_labels, read_scores, read_series,
                           write_labels, write_scores, write_series,
                           write_windows)
 
@@ -25,10 +26,19 @@ def sample_records(n=5):
 
 
 def micros(t):
+    if t.tzinfo is not None:
+        t = t.astimezone(timezone.utc).replace(tzinfo=None)
     return (t - EPOCH) // timedelta(microseconds=1)
 
 
 # Line-by-line readers: the reference the column parser is tested against.
+
+def reference_stamp(path, lineno, text):
+    try:
+        return parse_timestamp(text)
+    except DataError as exc:
+        raise DataError(f"{path}:{lineno}: {exc}") from None
+
 
 def reference_read_series(path):
     path = Path(path)
@@ -44,7 +54,7 @@ def reference_read_series(path):
         parts = line.split(",")
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise DataError(f"{path}:{lineno}: malformed row {line!r}")
-        ts = parse_timestamp(parts[0])
+        ts = reference_stamp(path, lineno, parts[0])
         try:
             value = float(parts[1])
         except ValueError:
@@ -75,7 +85,7 @@ def reference_read_scores(path):
         parts = line.split(",")
         if len(parts) != 3:
             raise DataError(f"{path}:{lineno}: malformed row {line!r}")
-        ts = parse_timestamp(parts[0])
+        ts = reference_stamp(path, lineno, parts[0])
         try:
             value, score = float(parts[1]), float(parts[2])
         except ValueError:
@@ -91,6 +101,59 @@ def reference_read_scores(path):
     if not rows:
         raise DataError(f"{path}: no data rows")
     return rows
+
+
+# Row-at-a-time writers: the reference the column writer is tested against.
+
+def reference_format_timestamp(ts):
+    if ts.tzinfo is not None:
+        ts = ts.astimezone(timezone.utc).replace(tzinfo=None)
+    return ts.isoformat()
+
+
+def reference_write_series(path, records):
+    lines = [SERIES_HEADER]
+    lines += [f"{reference_format_timestamp(ts)},{value!r}" for ts, value in records]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def reference_write_scores(path, records, scores):
+    lines = [SCORES_HEADER]
+    lines += [
+        f"{reference_format_timestamp(ts)},{value!r},{score!r}"
+        for (ts, value), score in zip(records, scores)
+    ]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+AWKWARD_FLOATS = [0.0, -0.0, 5e-324, 2.5e-310, 1e16, 1e-05, 1e22, 0.1, 1 / 3,
+                  123456789.0, -2.5, 1.7976931348623157e308]
+AWKWARD_SCORES = [0.0, -0.0, 1.0, 5e-324, 1e-05, 0.5, 1 / 3, 0.9999999999999999]
+
+
+def random_records(rng, n):
+    """Non-decreasing instants near year 1, 2021 or year 9999, some on a
+    whole second, some tz-aware; awkward and random floats."""
+    instant = rng.choice([datetime(1, 1, 2), datetime(9999, 12, 30),
+                          datetime(2021, 1, 1) + timedelta(seconds=rng.randrange(10**8))])
+    records = []
+    for _ in range(n):
+        instant += rng.choice([
+            timedelta(0), timedelta(seconds=rng.randrange(1, 5)), timedelta(microseconds=1),
+            timedelta(microseconds=rng.randrange(10**7)),
+            timedelta(microseconds=(10**6 - instant.microsecond) % 10**6)])
+        offset = rng.choice([None, None, timedelta(0), timedelta(hours=2),
+                             timedelta(hours=-5, minutes=-30)])
+        ts = instant if offset is None else (instant + offset).replace(tzinfo=timezone(offset))
+        value = rng.choice(AWKWARD_FLOATS + [rng.gauss(0, 5), rng.gauss(0, 1e-300)])
+        records.append((ts, value))
+    return records
+
+
+def as_columns(records, scores=None):
+    return Columns(np.array([micros(t) for t, _ in records], dtype=np.int64),
+                   np.array([v for _, v in records], dtype=float),
+                   None if scores is None else np.array(scores, dtype=float))
 
 
 def read_both(path, scores):
@@ -313,6 +376,7 @@ class TestColumnParserMatchesReference:
         assert want[0] == "error"
         assert got == want
         assert message in got[2]
+        assert got[2].startswith(f"{path}:4: ")
 
     @pytest.mark.parametrize("scores", [False, True], ids=["series", "scores"])
     def test_random_faults(self, tmp_path, scores):
@@ -328,6 +392,129 @@ class TestColumnParserMatchesReference:
             write_file(path, SCORES_HEADER if scores else SERIES_HEADER, rows, rng)
             got, want = read_both(path, scores)
             assert got == want, f"seed {seed}"
+
+
+class TestColumnWriterMatchesReference:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_records(self, tmp_path, seed):
+        rng = random.Random(seed)
+        records = random_records(rng, rng.randrange(1, 60))
+        scores = [rng.choice(AWKWARD_SCORES + [rng.random()]) for _ in records]
+        for name, write, reference, args in [
+            ("s", write_series, reference_write_series, (records,)),
+            ("c", write_scores, reference_write_scores, (records, scores)),
+        ]:
+            got, want = tmp_path / f"{name}.csv", tmp_path / f"{name}_ref.csv"
+            write(got, *args)
+            reference(want, *args)
+            assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_columns_write_as_pairs(self, tmp_path, seed):
+        rng = random.Random(seed)
+        records = random_records(rng, rng.randrange(1, 60))
+        scores = [rng.choice(AWKWARD_SCORES) for _ in records]
+        write_series(tmp_path / "a.csv", as_columns(records))
+        reference_write_series(tmp_path / "b.csv", records)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        write_scores(tmp_path / "c.csv", as_columns(records), scores)
+        reference_write_scores(tmp_path / "d.csv", records, scores)
+        assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()
+
+    def test_edge_stamps(self, tmp_path):
+        stamps = [datetime(1, 1, 1), datetime(1, 1, 1, 0, 0, 0, 1), datetime(1969, 12, 31, 23, 59, 59),
+                  datetime(1969, 12, 31, 23, 59, 59, 999999), datetime(1970, 1, 1),
+                  datetime(2000, 2, 29, 12, 0, 0, 500000), datetime(9999, 12, 31, 23, 59, 59),
+                  datetime(9999, 12, 31, 23, 59, 59, 999999)]
+        records = [(t, 1.0) for t in stamps]
+        write_series(tmp_path / "a.csv", records)
+        reference_write_series(tmp_path / "b.csv", records)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_empty_records(self, tmp_path):
+        for records in ([], as_columns([])):
+            write_series(tmp_path / "a.csv", records)
+            write_scores(tmp_path / "b.csv", records, [])
+            assert (tmp_path / "a.csv").read_text() == SERIES_HEADER + "\n"
+            assert (tmp_path / "b.csv").read_text() == SCORES_HEADER + "\n"
+
+
+class TestWriterRefusesUnreadableRecords:
+    @pytest.mark.parametrize("value, message", [
+        (float("nan"), "x.csv: record 2: non-finite value nan"),
+        (float("inf"), "x.csv: record 2: non-finite value inf"),
+        (float("-inf"), "x.csv: record 2: non-finite value -inf"),
+    ])
+    def test_non_finite_value(self, tmp_path, value, message):
+        records = sample_records(4)
+        records[2] = (records[2][0], value)
+        for write in (lambda r: write_series(tmp_path / "x.csv", r),
+                      lambda r: write_scores(tmp_path / "x.csv", r, [0.5] * 4)):
+            for given in (records, as_columns(records)):
+                with pytest.raises(DataError, match=re.escape(message)):
+                    write(given)
+                assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("score", [1.5, -0.5, float("nan"), float("inf")])
+    def test_score_outside_unit_interval(self, tmp_path, score):
+        with pytest.raises(DataError, match=re.escape(f"x.csv: record 1: score {score!r} outside [0, 1]")):
+            write_scores(tmp_path / "x.csv", sample_records(3), [0.0, score, 0.5])
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_out_of_order(self, tmp_path):
+        records = sample_records(4)
+        records[1], records[2] = records[2], records[1]
+        for given in (records, as_columns(records)):
+            with pytest.raises(StreamError, match="x.csv: record 2: timestamps out of order"):
+                write_series(tmp_path / "x.csv", given)
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_out_of_order_after_tz_normalisation(self, tmp_path):
+        # 12:30+02:00 is 10:30 UTC, before the first record
+        records = [(T0, 1.0), (T0.replace(minute=30, tzinfo=timezone(timedelta(hours=2))), 2.0)]
+        with pytest.raises(StreamError, match="record 1"):
+            write_series(tmp_path / "x.csv", records)
+
+    @pytest.mark.parametrize("micro", [micros(datetime.min) - 1, micros(datetime.max) + 1])
+    def test_stamp_outside_datetime_range(self, tmp_path, micro):
+        columns = Columns(np.array([0, micro], dtype=np.int64), np.array([1.0, 2.0]))
+        with pytest.raises(DataError, match="x.csv: record 1: timestamp outside the years 1 to 9999"):
+            write_series(tmp_path / "x.csv", columns)
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("scores", [False, True], ids=["series", "scores"])
+    def test_refused_exactly_when_the_reader_fails(self, tmp_path, scores):
+        """One fault per file: the writer refuses the records exactly when
+        the reference writer writes a file the reader refuses, with the
+        same exception type, and names the record on the reader's line."""
+        for seed in range(100):
+            rng = random.Random(seed)
+            records = random_records(rng, rng.randrange(2, 30))
+            record_scores = [rng.random() for _ in records]
+            i = rng.randrange(len(records))
+            fault = rng.randrange(3 if scores else 2)
+            if fault == 0:
+                records[i] = (records[i][0], rng.choice([float("nan"), float("inf"), -float("inf")]))
+            elif fault == 1 and i:
+                records[i] = (records[i - 1][0] - timedelta(microseconds=rng.randrange(1, 10**7)),
+                              records[i][1])
+            elif fault == 2:
+                record_scores[i] = rng.choice([1.5, -0.25, float("nan")])
+            args = (records, record_scores) if scores else (records,)
+            write, reference, read = ((write_scores, reference_write_scores, read_scores) if scores
+                                      else (write_series, reference_write_series, read_series))
+            reference(tmp_path / "ref.csv", *args)
+            try:
+                read(tmp_path / "ref.csv")
+            except DataError as exc:
+                with pytest.raises(type(exc)) as refused:
+                    write(tmp_path / "x.csv", *args)
+                assert f"x.csv: record {int(str(exc).split(':')[1]) - 2}:" in str(refused.value)
+                assert not (tmp_path / "x.csv").exists()
+            else:
+                write(tmp_path / "x.csv", *args)
+                assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+                (tmp_path / "x.csv").unlink()
 
 
 class TestScores:
@@ -442,6 +629,14 @@ class TestLabelsAndWindows:
         path = tmp_path / "labels.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match="a.csv"):
+            read_labels(path)
+
+    @pytest.mark.parametrize("instant", ["noon", ""])
+    def test_bad_instant_names_file_and_series(self, tmp_path, instant):
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps({"a.csv": ["2021-03-01T12:00:00"], "b.csv": [instant]}))
+        with pytest.raises(DataError, match=re.escape(
+                f"labels.json: labels of 'b.csv': bad timestamp {instant!r}")):
             read_labels(path)
 
     def test_windows_document_shape(self, tmp_path):
