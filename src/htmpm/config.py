@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .detectors import DetectorConfig
+from .detectors import DetectorConfig, _integer, _number
 from .errors import ValidationError
 
 KNOWN_KEYS = {
@@ -84,7 +84,7 @@ class RunConfig:
         seed = overrides.get("seed")
         if seed is None:
             seed = entries.get("seed", 0)
-        seed = int(seed)
+        seed = _integer("seed", seed)
         kind = overrides.get("detector_kind") or entries.get("detector.kind")
         if not kind:
             raise ValidationError("no detector kind configured (detector.kind)")
@@ -94,7 +94,7 @@ class RunConfig:
             raise ValidationError("corpus_dir and output_dir are required")
         train_fraction = overrides.get("train_fraction")
         if train_fraction is None:
-            train_fraction = float(entries.get("train_fraction", 0.15))
+            train_fraction = entries.get("train_fraction", 0.15)
         subsample = overrides.get("subsample")
         if subsample is None:
             subsample = entries.get("subsample", 1)
@@ -102,9 +102,9 @@ class RunConfig:
             corpus_dir=Path(corpus),
             output_dir=Path(output),
             detector=DetectorConfig(kind=kind, parameters=params, seed=seed),
-            train_fraction=float(train_fraction),
+            train_fraction=_number("train_fraction", train_fraction),
             seed=seed,
-            subsample=int(subsample),
+            subsample=_integer("subsample", subsample),
         )
 
 

@@ -3,13 +3,23 @@
 Every detector consumes timestamped scalars one at a time and emits one
 anomaly score in [0, 1] per record, in order. The HTM detector composes
 encoder -> spatial pooler -> temporal memory -> raw prediction error ->
-(optionally) HD anomaly likelihood. Baselines: windowed Gaussian,
-threshold, random, null.
+(optionally) HD anomaly likelihood. Active bits pass between those layers
+as int index arrays: the encoder's block of input indices, then the
+pooler's sorted active columns. A fresh detector per file reuses the
+spatial pooler's pool, which is drawn once per process (see
+``spatial_pooler``). Baselines: windowed Gaussian, threshold, random,
+null.
+
+Numeric parameters are checked where they are read: an integer setting
+accepts an int or text spelling one, a number setting any real number or
+text spelling one; a bool, a fraction for an integer, nan, an infinity or
+other text raise ValidationError naming the key.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass, field
 
@@ -62,6 +72,31 @@ _ALLOWED_PARAMS = {
 }
 
 
+def _integer(key: str, value) -> int:
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValidationError(f"{key} must be an integer, got {value!r}")
+
+
+def _number(key: str, value) -> float:
+    number = math.nan
+    if isinstance(value, str):
+        try:
+            number = float(value)
+        except ValueError:
+            pass
+    elif isinstance(value, numbers.Real) and not isinstance(value, bool):
+        number = float(value)
+    if not math.isfinite(number):
+        raise ValidationError(f"{key} must be a finite number, got {value!r}")
+    return number
+
+
 class NullDetector:
     def calibrate(self, values):
         pass
@@ -90,10 +125,10 @@ class ThresholdDetector:
                  rms_window: int = 16, calibration_sigmas: float = 4.0):
         if feature not in ("abs", "rms"):
             raise ValidationError(f"feature must be 'abs' or 'rms', got {feature!r}")
-        self.threshold = threshold
+        self.threshold = None if threshold is None else _number("threshold", threshold)
         self.feature = feature
-        self.rms_window = rms_window
-        self.calibration_sigmas = calibration_sigmas
+        self.rms_window = _integer("rms_window", rms_window)
+        self.calibration_sigmas = _number("calibration_sigmas", calibration_sigmas)
         self._recent: list[float] = []
 
     def calibrate(self, values):
@@ -126,6 +161,7 @@ class WindowedGaussianDetector:
     against the mean/stdev of a sliding window of preceding values."""
 
     def __init__(self, window: int = 6000):
+        window = _integer("window", window)
         if window < 2:
             raise ValidationError("window must hold at least 2 values")
         self.window = window
@@ -165,43 +201,51 @@ class HtmDetector:
 
     def __init__(self, parameters: dict, seed: int = 0, use_likelihood: bool = True):
         p = dict(parameters)
-        self.encoder_bits = int(p.pop("encoder_bits", 400))
-        self.encoder_width = int(p.pop("encoder_width", 21))
+
+        def integer(key, default):
+            return _integer(key, p.pop(key, default))
+
+        def number(key, default):
+            return _number(key, p.pop(key, default))
+
+        self.encoder_bits = integer("encoder_bits", 400)
+        self.encoder_width = integer("encoder_width", 21)
         value_min = p.pop("value_min", None)
         value_max = p.pop("value_max", None)
         self.encoder_cfg: ScalarEncoderConfig | None = None
         if value_min is not None and value_max is not None:
             self.encoder_cfg = ScalarEncoderConfig(
                 self.encoder_bits, self.encoder_width,
-                float(value_min), float(value_max), clip_input=True,
+                _number("value_min", value_min), _number("value_max", value_max),
+                clip_input=True,
             )
         self.sp = SpatialPooler(
             n_input=self.encoder_bits,
-            n_columns=int(p.pop("n_columns", 2048)),
-            k_active=int(p.pop("k_active", 40)),
-            potential_fraction=float(p.pop("sp_potential_fraction", 0.5)),
-            connect_threshold=float(p.pop("sp_connect_threshold", 0.5)),
-            perm_inc=float(p.pop("sp_perm_inc", 0.05)),
-            perm_dec=float(p.pop("sp_perm_dec", 0.008)),
+            n_columns=integer("n_columns", 2048),
+            k_active=integer("k_active", 40),
+            potential_fraction=number("sp_potential_fraction", 0.5),
+            connect_threshold=number("sp_connect_threshold", 0.5),
+            perm_inc=number("sp_perm_inc", 0.05),
+            perm_dec=number("sp_perm_dec", 0.008),
             seed=seed,
         )
         self.tm = TemporalMemory(
             n_columns=self.sp.n_columns,
-            m_cells=int(p.pop("m_cells", 32)),
-            activation_threshold=int(p.pop("tm_activation_threshold", 13)),
-            connect_threshold=float(p.pop("tm_connect_threshold", 0.5)),
-            initial_permanence=float(p.pop("tm_initial_permanence", 0.21)),
-            perm_inc=float(p.pop("tm_perm_inc", 0.1)),
-            perm_dec=float(p.pop("tm_perm_dec", 0.1)),
-            perm_punish=float(p.pop("tm_perm_punish", 0.01)),
-            sample_size=int(p.pop("tm_sample_size", 20)),
-            max_segments_per_cell=int(p.pop("tm_max_segments_per_cell", 128)),
-            max_synapses_per_segment=int(p.pop("tm_max_synapses_per_segment", 40)),
+            m_cells=integer("m_cells", 32),
+            activation_threshold=integer("tm_activation_threshold", 13),
+            connect_threshold=number("tm_connect_threshold", 0.5),
+            initial_permanence=number("tm_initial_permanence", 0.21),
+            perm_inc=number("tm_perm_inc", 0.1),
+            perm_dec=number("tm_perm_dec", 0.1),
+            perm_punish=number("tm_perm_punish", 0.01),
+            sample_size=integer("tm_sample_size", 20),
+            max_segments_per_cell=integer("tm_max_segments_per_cell", 128),
+            max_synapses_per_segment=integer("tm_max_synapses_per_segment", 40),
         )
         self.use_likelihood = use_likelihood
         self.likelihood_state = LikelihoodState(
-            capacity=int(p.pop("likelihood_capacity", 1000)),
-            short_window=int(p.pop("likelihood_short_window", 10)),
+            capacity=integer("likelihood_capacity", 1000),
+            short_window=integer("likelihood_short_window", 10),
         )
         if p:
             raise ValidationError(f"unknown HTM parameter(s): {sorted(p)}")
@@ -219,9 +263,8 @@ class HtmDetector:
             raise ValidationError(
                 "HTM detector needs value_min/value_max or a calibrate() call"
             )
-        x = encode(value, self.encoder_cfg)
-        cols = self.sp.compute(x, learn=True)
-        raw = self.tm.step(cols, learn=True)
+        bits = encode(value, self.encoder_cfg)
+        raw = self.tm.step(self.sp.compute(bits, learn=True), learn=True)
         self.last_raw = raw
         self.last_likelihood = update_likelihood(raw, self.likelihood_state)
         return self.last_likelihood if self.use_likelihood else raw

@@ -4,6 +4,11 @@ Classic contiguous-block encoder: the input range is divided into
 overlapping buckets and each value lights a block of w_active adjacent
 bits. Nearby values share bits, so semantic similarity becomes overlap.
 Stateless and deterministic.
+
+``encode`` returns the active bits as a sorted int index array, the form
+every layer of the HTM pipeline reads: the spatial pooler gathers its
+connection rows with it, and its own output is again an index array that
+the temporal memory reads. ``sdr.Sdr`` stays the type of the SDR-math API.
 """
 
 from __future__ import annotations
@@ -11,8 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ValidationError
-from .sdr import Sdr
 
 
 @dataclass(frozen=True)
@@ -47,8 +53,9 @@ def resolution(cfg: ScalarEncoderConfig) -> float:
     return (cfg.value_max - cfg.value_min) / (cfg.n_bits - cfg.w_active)
 
 
-def encode(value: float, cfg: ScalarEncoderConfig) -> Sdr:
-    """Map a scalar to an SDR with exactly w_active contiguous bits.
+def encode(value: float, cfg: ScalarEncoderConfig) -> np.ndarray:
+    """Map a scalar to the sorted indices of exactly w_active contiguous
+    active bits out of n_bits.
 
     Monotone: larger values shift the block rightward. value_min maps to
     bits {0..w-1}, value_max to the rightmost block.
@@ -65,7 +72,7 @@ def encode(value: float, cfg: ScalarEncoderConfig) -> Sdr:
     span = cfg.value_max - cfg.value_min
     bucket = int((value - cfg.value_min) / span * (cfg.n_buckets - 1) + 0.5)
     bucket = min(bucket, cfg.n_buckets - 1)
-    return Sdr(cfg.n_bits, tuple(range(bucket, bucket + cfg.w_active)))
+    return np.arange(bucket, bucket + cfg.w_active)
 
 
 def calibrated_config(

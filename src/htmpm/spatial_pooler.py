@@ -22,35 +22,62 @@ derives the whole matrix again after a direct edit of ``permanences``.
 Permanences stay float64: float32 rounds the ``+inc``/``-dec`` steps
 differently, which moves some synapses across the threshold at other
 records and so changes the scores.
+
+Inputs and outputs are index arrays. ``compute`` takes the encoder's
+sorted, distinct active input indices and gathers their rows of
+``_connected_t``; its ``ColumnActivation`` carries the winning columns as
+a sorted intp array that the temporal memory reads as it is.
+
+The pool is drawn once per process. ``_pool_draw`` caches the last draw
+by ``(n_input, n_columns, pool_size, seed)``: a read-only pool array
+shared by every pooler built with those values, and the generator state
+after the pool draws, from which each pooler draws its own permanences.
+So a run over many files pays for the ``n_columns`` pool draws once, and
+each file still starts from the same permanences as a fresh process.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .sdr import Sdr
 
 # values per uniform draw in __init__: row chunks of the n_columns x n_input
 # draw give the same stream as one draw, without holding the whole matrix
 _DRAW_CHUNK = 1 << 14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == on an array field has no single truth value
 class ColumnActivation:
-    """Result of one inhibition round: the winning column indices."""
+    """Result of one inhibition round: the winning columns, ascending."""
 
-    active_columns: tuple[int, ...]
+    active_columns: np.ndarray
     n_columns: int
     k: int
 
     def __post_init__(self):
         if len(self.active_columns) > self.k:
             raise ValidationError("more active columns than k")
-        if self.active_columns and max(self.active_columns) >= self.n_columns:
+        if len(self.active_columns) and self.active_columns[-1] >= self.n_columns:
             raise ValidationError("column index out of range")
+
+
+@functools.lru_cache(maxsize=1)
+def _pool_draw(n_input: int, n_columns: int, pool_size: int, seed: int):
+    """Each column's sorted pool of ``pool_size`` distinct inputs, drawn
+    from ``default_rng(seed)``, and the generator state after the draws.
+    The pool is read-only, because every pooler built with these values
+    shares it."""
+    rng = np.random.default_rng(seed)
+    pool = np.empty((n_columns, pool_size), dtype=np.min_scalar_type(n_input - 1))
+    for c in range(n_columns):
+        pool[c] = rng.choice(n_input, size=pool_size, replace=False)
+    pool.sort(axis=1)
+    pool.flags.writeable = False
+    return pool, rng.bit_generator.state
 
 
 class SpatialPooler:
@@ -85,12 +112,10 @@ class SpatialPooler:
         self.perm_inc = perm_inc
         self.perm_dec = perm_dec
 
-        rng = np.random.default_rng(seed)
         pool_size = max(1, int(round(potential_fraction * n_input)))
-        self.pool = np.empty((n_columns, pool_size), dtype=np.min_scalar_type(n_input - 1))
-        for c in range(n_columns):
-            self.pool[c] = rng.choice(n_input, size=pool_size, replace=False)
-        self.pool.sort(axis=1)
+        self.pool, state = _pool_draw(n_input, n_columns, pool_size, seed)
+        rng = np.random.default_rng()
+        rng.bit_generator.state = state
         # permanences start uniformly around the connect threshold, so about
         # half the pool is connected before any learning; the uniform draw
         # covers every input, and only the pool's entries are kept
@@ -117,25 +142,28 @@ class SpatialPooler:
         """Connection state in the pool layout of ``permanences``."""
         return self._connected_t[self.pool, self._columns].astype(bool)
 
-    def compute(self, x: Sdr, learn: bool = True) -> ColumnActivation:
-        """One inhibition round; optionally apply proximal learning."""
-        activation = self.compute_columns(x, self.k_active)
+    def compute(self, active: np.ndarray, learn: bool = True) -> ColumnActivation:
+        """One inhibition round over the sorted, distinct active input
+        indices; optionally apply proximal learning."""
+        activation = self.compute_columns(active, self.k_active)
         if learn:
-            self.learn_proximal(x, activation)
+            self.learn_proximal(active, activation)
         return activation
 
-    def compute_columns(self, x: Sdr, k: int) -> ColumnActivation:
-        if x.size_n != self.n_input:
-            raise DimensionError(
-                f"input SDR size {x.size_n} != pooler input size {self.n_input}"
-            )
+    def compute_columns(self, active: np.ndarray, k: int) -> ColumnActivation:
         if not 0 < k <= self.n_columns:
             raise ValidationError(f"need 0 < k <= n_columns, got k={k}")
-        if not x.active:
-            return ColumnActivation((), self.n_columns, k)
-        # a score is at most the number of active bits, so it fits in n_input
-        scores = self._connected_t[list(x.active)].sum(
-            axis=0, dtype=np.min_scalar_type(self.n_input))
+        active = np.asarray(active, dtype=np.intp)
+        if not len(active):
+            return ColumnActivation(active, self.n_columns, k)
+        if active[0] < 0 or active[-1] >= self.n_input:
+            raise DimensionError(
+                f"input bits {active[0]}..{active[-1]} outside the pooler's "
+                f"input [0, {self.n_input})"
+            )
+        # a score is at most the number of active bits
+        scores = self._connected_t[active].sum(
+            axis=0, dtype=np.min_scalar_type(len(active)))
         # top-k with lowest-index tie-break via a composite integer key
         key = scores.astype(np.int64) * (self.n_columns + 1) + self._tiebreak
         if k < self.n_columns:
@@ -143,26 +171,30 @@ class SpatialPooler:
         else:
             top_idx = np.arange(self.n_columns)
         top = np.sort(top_idx[scores[top_idx] > 0])
-        return ColumnActivation(tuple(top.tolist()), self.n_columns, k)
+        return ColumnActivation(top, self.n_columns, k)
 
-    def learn_proximal(self, x: Sdr, activated: ColumnActivation,
+    def learn_proximal(self, active: np.ndarray, activated: ColumnActivation,
                        inc: float | None = None, dec: float | None = None) -> None:
         """Reinforce active columns toward the input: pool synapses on
-        active bits gain ``inc``, the rest of the pool loses ``dec``."""
+        the active input indices gain ``inc``, the rest of the pool loses
+        ``dec``."""
         inc = self.perm_inc if inc is None else inc
         dec = self.perm_dec if dec is None else dec
         if inc < 0 or dec < 0:
             raise ValidationError("learning rates must be non-negative")
-        if not activated.active_columns:
+        cols = np.asarray(activated.active_columns, dtype=np.intp)
+        if not len(cols):
             return
-        cols = np.array(activated.active_columns, dtype=np.intp)
         delta = np.full(self.n_input, -dec)
-        delta[list(x.active)] = inc
+        delta[active] = inc
         pool = self.pool[cols]
         before = self.permanences[cols]
-        after = np.clip(before + delta.take(pool), 0.0, 1.0)
+        after = before + delta.take(pool)
+        after.clip(0.0, 1.0, out=after)
         self.permanences[cols] = after
         now = after >= self.connect_threshold
-        flips = np.flatnonzero(now != (before >= self.connect_threshold))
-        self._connected_t[pool.ravel()[flips], cols[flips // pool.shape[1]]] = (
-            now.ravel()[flips])
+        crossed = now != (before >= self.connect_threshold)
+        if crossed.any():  # rare once the pool has settled: 1% of staircase records
+            flips = np.flatnonzero(crossed)
+            self._connected_t[pool.ravel()[flips], cols[flips // pool.shape[1]]] = (
+                now.ravel()[flips])

@@ -26,8 +26,9 @@ segment. So a value that follows two different contexts gets one segment
 per context, instead of one segment that both contexts pull back and
 forth. The clamp to ``sample_size`` lets a segment that has just grown
 its ``sample_size`` synapses match again.
-``step`` returns the raw anomaly score, the fraction of active columns
-that burst (0 with no active column).
+``step`` reads the spatial pooler's active columns, a sorted intp index
+array, without a copy, and returns the raw anomaly score, the fraction of
+active columns that burst (0 with no active column).
 
 Learning is Hebbian with asymmetric rates: segments that correctly
 predicted are reinforced (inc) and decayed (dec); segments that predicted
@@ -81,6 +82,18 @@ class TemporalMemory:
             raise ValidationError(
                 "need 0 < sample_size <= max_synapses_per_segment"
             )
+        if max_segments_per_cell < 1:
+            raise ValidationError(
+                f"max_segments_per_cell must be >= 1, got {max_segments_per_cell}"
+            )
+        if not 0.0 < initial_permanence <= 1.0:
+            raise ValidationError(
+                f"initial_permanence must be in (0, 1], got {initial_permanence}"
+            )
+        if not 0.0 < connect_threshold < 1.0:
+            raise ValidationError(
+                f"connect_threshold must be in (0, 1), got {connect_threshold}"
+            )
         self.n_columns = n_columns
         self.m_cells = m_cells
         self.n_cells = n_columns * m_cells
@@ -122,7 +135,7 @@ class TemporalMemory:
         """
         self._step += 1
         m = self.m_cells
-        columns = np.asarray(cols.active_columns, dtype=np.int64)
+        columns = np.asarray(cols.active_columns, dtype=np.intp)
         rows = self._active_rows  # the previous step's predictive segments
         owners = self.seg_cell[rows]
         # a mask over columns, plus a spare last entry that stays False for

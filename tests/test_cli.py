@@ -164,6 +164,35 @@ class TestRunCommand:
                    "--detector", "threshold", "--train-fraction", "0"])
         assert rc == 2
 
+    @pytest.mark.parametrize("param", [
+        "tm_max_segments_per_cell=0", "tm_initial_permanence=-0.5",
+        "tm_initial_permanence=1.5", "tm_connect_threshold=1.5",
+        "n_columns=abc", "tm_sample_size=abc", "likelihood_capacity=abc",
+        "encoder_width=abc", "m_cells=2.5", "m_cells=true",
+        "sp_perm_inc=nan", "tm_perm_inc=inf",
+    ])
+    def test_bad_htm_parameter_exits_1(self, tmp_path, capsys, param):
+        corpus, _ = make_corpus(tmp_path, n_files=1)
+        rc = main(["run", "--corpus", str(corpus), "--output", str(tmp_path / "out"),
+                   "--detector", "htm_hd", "--param", param])
+        err = capsys.readouterr().err
+        assert rc == 1
+        # the temporal memory names its own parameter, without the tm_ prefix
+        assert err.startswith("error: ") and param.partition("=")[0].removeprefix("tm_") in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("entry", ["seed = abc", "train_fraction = x", "subsample = 1.5"])
+    def test_bad_config_number_exits_1(self, tmp_path, capsys, entry):
+        corpus, _ = make_corpus(tmp_path, n_files=1)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"corpus_dir = {corpus}\noutput_dir = {tmp_path / 'out'}\n"
+                       f"detector.kind = null\n{entry}\n")
+        rc = main(["run", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and entry.partition(" ")[0] in err
+        assert "Traceback" not in err
+
 
 class TestScoreCommand:
     def run_and_score(self, tmp_path, detector, extra_run=()):

@@ -165,6 +165,29 @@ class TestBuildDetector:
         assert build_detector(DetectorConfig("htm_hd", {})).use_likelihood
         assert not build_detector(DetectorConfig("htm_raw", {})).use_likelihood
 
+    @pytest.mark.parametrize("kind, params, message", [
+        ("htm_hd", {"m_cells": 2.5}, "m_cells must be an integer, got 2.5"),
+        ("htm_hd", {"m_cells": True}, "m_cells must be an integer, got True"),
+        ("htm_hd", {"n_columns": "abc"}, "n_columns must be an integer, got 'abc'"),
+        ("htm_hd", {"value_min": "low", "value_max": 1.0},
+         "value_min must be a finite number, got 'low'"),
+        ("htm_hd", {"sp_perm_inc": False}, "sp_perm_inc must be a finite number, got False"),
+        ("htm_hd", {"tm_perm_inc": math.nan}, "tm_perm_inc must be a finite number, got nan"),
+        ("htm_hd", {"value_min": -math.inf, "value_max": 1.0},
+         "value_min must be a finite number, got -inf"),
+        ("windowed_gaussian", {"window": 2.5}, "window must be an integer, got 2.5"),
+        ("threshold", {"rms_window": "abc"}, "rms_window must be an integer, got 'abc'"),
+        ("threshold", {"threshold": "high"}, "threshold must be a finite number, got 'high'"),
+    ])
+    def test_non_numeric_settings_name_key_and_value(self, kind, params, message):
+        with pytest.raises(ValidationError, match=message):
+            build_detector(DetectorConfig(kind, params))
+
+    def test_numeric_text_is_accepted(self):
+        det = build_detector(DetectorConfig(
+            "htm_raw", {"n_columns": "64", "k_active": 4, "sp_perm_inc": "0.1"}))
+        assert det.sp.n_columns == 64 and det.sp.perm_inc == 0.1
+
 
 class TestRunFile:
     def test_score_count_and_training_suppression(self):

@@ -2,14 +2,24 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from htmpm.encoder import (ScalarEncoderConfig, calibrated_config, encode,
                            resolution)
 from htmpm.errors import ValidationError
-from htmpm.sdr import overlap
+from htmpm.sdr import Sdr, overlap
 
 CFG = ScalarEncoderConfig(n_bits=400, w_active=21, value_min=0.0, value_max=100.0)
+
+
+def bits(value, cfg=CFG):
+    """The active bits of one encoding, as a tuple."""
+    return tuple(encode(value, cfg).tolist())
+
+
+def sdr(value):
+    return Sdr(CFG.n_bits, bits(value))
 
 
 class TestConfig:
@@ -31,33 +41,43 @@ class TestConfig:
 
 class TestEncode:
     def test_minimum_maps_to_leftmost_block(self):
-        assert encode(0.0, CFG).active == tuple(range(21))
+        assert bits(0.0) == tuple(range(21))
 
     def test_maximum_maps_to_rightmost_block(self):
-        assert encode(100.0, CFG).active == tuple(range(379, 400))
+        assert bits(100.0) == tuple(range(379, 400))
 
     def test_extremes_do_not_overlap(self):
-        assert overlap(encode(0.0, CFG), encode(100.0, CFG)) == 0
+        assert overlap(sdr(0.0), sdr(100.0)) == 0
 
     def test_deterministic(self):
-        assert encode(37.25, CFG) == encode(37.25, CFG)
+        assert bits(37.25) == bits(37.25)
 
     def test_width_constant_across_range(self):
         for v in (0.0, 1.7, 50.0, 99.999, 100.0):
-            assert encode(v, CFG).w == 21
+            assert len(encode(v, CFG)) == 21
 
     def test_monotone_block_position(self):
-        starts = [encode(v, CFG).active[0] for v in range(0, 101, 5)]
+        starts = [bits(v)[0] for v in range(0, 101, 5)]
         assert starts == sorted(starts)
 
     def test_clipping(self):
-        assert encode(-50.0, CFG) == encode(0.0, CFG)
-        assert encode(250.0, CFG) == encode(100.0, CFG)
+        assert bits(-50.0) == bits(0.0)
+        assert bits(250.0) == bits(100.0)
 
     def test_out_of_range_without_clip_raises(self):
         strict = ScalarEncoderConfig(400, 21, 0.0, 100.0, clip_input=False)
         with pytest.raises(ValidationError):
             encode(101.0, strict)
+
+    @pytest.mark.parametrize("value, start", [
+        (-50.0, 0), (0.0, 0), (1.7, 6), (37.25, 141), (50.0, 190),
+        (99.999, 379), (100.0, 379), (250.0, 379),
+    ])
+    def test_index_array_of_the_block(self, value, start):
+        # the blocks the Sdr-returning encoder gave for these values
+        x = encode(value, CFG)
+        assert x.dtype == np.intp
+        assert x.tolist() == list(range(start, start + 21))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError):
@@ -86,7 +106,7 @@ class TestSimilarityProperties:
         for _ in range(200):
             v = rng.uniform(0.0, 100.0 - res)
             d = rng.uniform(0.0, res * 0.999)
-            assert overlap(encode(v, CFG), encode(v + d, CFG)) >= 20
+            assert overlap(sdr(v), sdr(v + d)) >= 20
 
     def test_far_apart_values_disjoint(self):
         rng = random.Random(8)
@@ -94,7 +114,7 @@ class TestSimilarityProperties:
         span = 21 * res
         for _ in range(200):
             v = rng.uniform(0.0, 100.0 - span * 1.2)
-            assert overlap(encode(v, CFG), encode(v + span * 1.1, CFG)) == 0
+            assert overlap(sdr(v), sdr(v + span * 1.1)) == 0
 
 
 class TestCalibration:

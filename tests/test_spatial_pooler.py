@@ -7,7 +7,6 @@ import pytest
 
 from htmpm import spatial_pooler
 from htmpm.errors import DimensionError, ValidationError
-from htmpm.sdr import Sdr
 from htmpm.spatial_pooler import ColumnActivation, SpatialPooler
 
 
@@ -22,67 +21,85 @@ def tiny_pooler(connected_sets, n_input=4, k=1):
     return sp
 
 
+def bits(*indices):
+    """Sorted active input indices, the pooler's input type."""
+    return np.array(indices, dtype=np.intp)
+
+
+def winners(sp, x, k):
+    return sp.compute_columns(x, k=k).active_columns.tolist()
+
+
+def activation(*columns, n_columns=2, k=1):
+    return ColumnActivation(bits(*columns), n_columns, k)
+
+
 class TestColumnActivation:
     def test_too_many_columns_rejected(self):
         with pytest.raises(ValidationError):
-            ColumnActivation((0, 1, 2), n_columns=8, k=2)
+            ColumnActivation(bits(0, 1, 2), n_columns=8, k=2)
 
     def test_index_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
-            ColumnActivation((8,), n_columns=8, k=2)
+            ColumnActivation(bits(8), n_columns=8, k=2)
 
 
 class TestComputeColumns:
     def test_hand_worked_top1(self):
         # columns connected to {0,1}, {2,3}, {1,2}; input {0,1} scores 2,0,1
         sp = tiny_pooler([{0, 1}, {2, 3}, {1, 2}])
-        act = sp.compute_columns(Sdr(4, (0, 1)), k=1)
-        assert act.active_columns == (0,)
+        act = sp.compute_columns(bits(0, 1), k=1)
+        assert act.active_columns.dtype == np.intp
+        assert act.active_columns.tolist() == [0]
 
     def test_empty_input_activates_nothing(self):
         sp = tiny_pooler([{0, 1}, {2, 3}, {1, 2}])
-        assert sp.compute_columns(Sdr(4), k=2).active_columns == ()
+        assert winners(sp, bits(), k=2) == []
 
     def test_zero_score_columns_never_activate(self):
         sp = tiny_pooler([{0, 1}, {2, 3}, {1, 2}])
-        act = sp.compute_columns(Sdr(4, (0,)), k=3)
-        assert act.active_columns == (0,)
+        assert winners(sp, bits(0), k=3) == [0]
 
     def test_k_equals_n_with_all_positive(self):
         sp = tiny_pooler([{0}, {0, 1}, {0, 2}])
-        act = sp.compute_columns(Sdr(4, (0,)), k=3)
-        assert act.active_columns == (0, 1, 2)
+        assert winners(sp, bits(0), k=3) == [0, 1, 2]
 
     def test_tie_breaks_to_lowest_index(self):
         sp = tiny_pooler([{1}, {1}, {1}])
-        assert sp.compute_columns(Sdr(4, (1,)), k=1).active_columns == (0,)
+        assert winners(sp, bits(1), k=1) == [0]
         # still lowest-index when an earlier column is excluded by score
         sp2 = tiny_pooler([{0}, {1}, {1}])
-        assert sp2.compute_columns(Sdr(4, (1,)), k=1).active_columns == (1,)
+        assert winners(sp2, bits(1), k=1) == [1]
 
     def test_scores_above_255_do_not_wrap(self):
         sp = tiny_pooler([set(range(256)), set(range(10))], n_input=300)
-        act = sp.compute_columns(Sdr(300, tuple(range(300))), k=1)
-        assert act.active_columns == (0,)
+        assert winners(sp, bits(*range(300)), k=1) == [0]
 
     def test_dimension_mismatch(self):
         sp = tiny_pooler([{0, 1}])
         with pytest.raises(DimensionError):
-            sp.compute_columns(Sdr(5, (0,)), k=1)
+            sp.compute_columns(bits(4), k=1)
+
+    @pytest.mark.parametrize("x", [bits(0, 4), bits(-1, 0)])
+    def test_any_bit_outside_the_input_rejected(self, x):
+        sp = tiny_pooler([{0, 1}])
+        with pytest.raises(DimensionError):
+            sp.compute(x, learn=True)
 
     def test_invalid_k(self):
         sp = tiny_pooler([{0, 1}])
         with pytest.raises(ValidationError):
-            sp.compute_columns(Sdr(4, (0,)), k=0)
+            sp.compute_columns(bits(0), k=0)
 
     def test_determinism_at_scale(self):
         sp = SpatialPooler(n_input=400, n_columns=256, k_active=8, seed=3)
-        x = Sdr(400, tuple(range(100, 121)))
-        assert sp.compute(x, learn=False) == sp.compute(x, learn=False)
+        x = bits(*range(100, 121))
+        assert np.array_equal(sp.compute(x, learn=False).active_columns,
+                              sp.compute(x, learn=False).active_columns)
 
     def test_output_sparsity_bounded_by_k(self):
         sp = SpatialPooler(n_input=400, n_columns=256, k_active=8, seed=3)
-        act = sp.compute(Sdr(400, tuple(range(21))), learn=False)
+        act = sp.compute(bits(*range(21)), learn=False)
         assert len(act.active_columns) <= 8
 
 
@@ -90,7 +107,7 @@ class TestLearnProximal:
     def test_zero_rates_are_a_noop(self):
         sp = tiny_pooler([{0, 1}, {2, 3}])
         before = sp.permanences.copy()
-        sp.learn_proximal(Sdr(4, (0,)), ColumnActivation((0,), 2, 1),
+        sp.learn_proximal(bits(0), activation(0),
                           inc=0.0, dec=0.0)
         assert np.array_equal(sp.permanences, before)
 
@@ -99,7 +116,7 @@ class TestLearnProximal:
         sp.permanences[0, 0] = 0.45
         sp.rebuild_connections()
         assert not sp.connected[0, 0]
-        sp.learn_proximal(Sdr(4, (0,)), ColumnActivation((0,), 2, 1),
+        sp.learn_proximal(bits(0), activation(0),
                           inc=0.1, dec=0.0)
         assert sp.permanences[0, 0] == pytest.approx(0.55)
         assert sp.connected[0, 0]
@@ -107,36 +124,35 @@ class TestLearnProximal:
     def test_clamped_at_one(self):
         sp = tiny_pooler([{0, 1}, {2, 3}])
         sp.permanences[0, 0] = 0.98
-        sp.learn_proximal(Sdr(4, (0,)), ColumnActivation((0,), 2, 1),
+        sp.learn_proximal(bits(0), activation(0),
                           inc=0.1, dec=0.0)
         assert sp.permanences[0, 0] == 1.0
 
     def test_clamped_at_zero(self):
         sp = tiny_pooler([{0, 1}, {2, 3}])
         sp.permanences[0, 1] = 0.005
-        sp.learn_proximal(Sdr(4, (0,)), ColumnActivation((0,), 2, 1),
+        sp.learn_proximal(bits(0), activation(0),
                           inc=0.0, dec=0.1)
         assert sp.permanences[0, 1] == 0.0
 
     def test_inactive_columns_untouched(self):
         sp = tiny_pooler([{0, 1}, {2, 3}])
         before = sp.permanences[1].copy()
-        sp.learn_proximal(Sdr(4, (0,)), ColumnActivation((0,), 2, 1),
+        sp.learn_proximal(bits(0), activation(0),
                           inc=0.1, dec=0.05)
         assert np.array_equal(sp.permanences[1], before)
 
     def test_negative_rates_rejected(self):
         sp = tiny_pooler([{0, 1}])
         with pytest.raises(ValidationError):
-            sp.learn_proximal(Sdr(4, (0,)), ColumnActivation((0,), 1, 1),
+            sp.learn_proximal(bits(0), activation(0, n_columns=1),
                               inc=-0.1, dec=0.0)
 
     def test_permanences_stay_in_unit_interval(self):
         sp = SpatialPooler(n_input=50, n_columns=32, k_active=4, seed=1)
         rng = np.random.default_rng(0)
         for _ in range(100):
-            bits = tuple(sorted(rng.choice(50, size=5, replace=False)))
-            sp.compute(Sdr(50, bits), learn=True)
+            sp.compute(np.sort(rng.choice(50, size=5, replace=False)), learn=True)
         assert sp.permanences.min() >= 0.0 and sp.permanences.max() <= 1.0
 
 
@@ -172,24 +188,23 @@ class DensePooler:
         self._tiebreak = np.arange(n_columns, 0, -1, dtype=np.int64)
 
     def compute_columns(self, x, k):
-        bits = np.fromiter(x.active, dtype=np.int64, count=len(x.active))
-        if bits.size == 0:
-            return ColumnActivation((), self.n_columns, k)
-        scores = self._connected[:, bits].sum(axis=1, dtype=np.int64)
+        if x.size == 0:
+            return ColumnActivation(bits(), self.n_columns, k)
+        scores = self._connected[:, x].sum(axis=1, dtype=np.int64)
         key = scores * (self.n_columns + 1) + self._tiebreak
         if k < self.n_columns:
             top_idx = np.argpartition(key, self.n_columns - k)[self.n_columns - k:]
         else:
             top_idx = np.arange(self.n_columns)
         top = [int(c) for c in top_idx if scores[c] > 0]
-        return ColumnActivation(tuple(sorted(top)), self.n_columns, k)
+        return ColumnActivation(bits(*sorted(top)), self.n_columns, k)
 
     def learn_proximal(self, x, activated, inc, dec):
-        if not activated.active_columns:
+        if not len(activated.active_columns):
             return
-        cols = np.fromiter(activated.active_columns, dtype=np.int64)
+        cols = activated.active_columns
         active_mask = np.zeros(self.n_input, dtype=bool)
-        active_mask[list(x.active)] = True
+        active_mask[x] = True
         pool = self.potential[cols]
         delta = np.where(active_mask, inc, -dec)
         updated = np.clip(
@@ -226,9 +241,10 @@ class TestPoolMatchesDense:
         rates = [0.0, 0.008, 0.05, 0.3]
         for _ in range(30):
             w = int(rng.integers(0, n_input + 1)) if rng.random() < 0.9 else 0
-            x = Sdr(n_input, tuple(rng.choice(n_input, size=w, replace=False).tolist()))
+            x = np.sort(rng.choice(n_input, size=w, replace=False))
             act = sp.compute_columns(x, k)
-            assert act == ref.compute_columns(x, k)
+            assert act.active_columns.dtype == np.intp
+            assert np.array_equal(act.active_columns, ref.compute_columns(x, k).active_columns)
             inc, dec = (float(r) for r in rng.choice(rates, size=2))
             sp.learn_proximal(x, act, inc=inc, dec=dec)
             ref.learn_proximal(x, act, inc=inc, dec=dec)
@@ -236,17 +252,54 @@ class TestPoolMatchesDense:
             assert np.array_equal(sp.connected, sp.permanences >= sp.connect_threshold)
 
 
+INIT_DIGESTS = [
+    (dict(n_input=400, seed=1),
+     "cbd158cff6f296017c9ab148554468bd65bcb91caed29a89a3b8905309db5089"),
+    (dict(n_input=100, n_columns=500, k_active=10, potential_fraction=0.3,
+          connect_threshold=0.4, seed=7),
+     "ad63c6ed807b0f5b2ef77bfdf0f29a6e692bc4c8cda64f36dafe44a7cbf03d56"),
+]
+
+
+def init_digest(sp):
+    return hashlib.sha256(dense_permanences(sp).tobytes()).hexdigest()
+
+
 class TestInitGolden:
     """sha256 of the dense initial permanences, computed with the dense
     pooler: the chunked draws must reproduce its random stream."""
 
-    @pytest.mark.parametrize("kwargs, digest", [
-        (dict(n_input=400, seed=1),
-         "cbd158cff6f296017c9ab148554468bd65bcb91caed29a89a3b8905309db5089"),
-        (dict(n_input=100, n_columns=500, k_active=10, potential_fraction=0.3,
-              connect_threshold=0.4, seed=7),
-         "ad63c6ed807b0f5b2ef77bfdf0f29a6e692bc4c8cda64f36dafe44a7cbf03d56"),
-    ])
+    @pytest.mark.parametrize("kwargs, digest", INIT_DIGESTS)
     def test_initial_permanences(self, kwargs, digest):
         sp = SpatialPooler(**kwargs)
-        assert hashlib.sha256(dense_permanences(sp).tobytes()).hexdigest() == digest
+        assert init_digest(sp) == digest
+
+
+class TestPoolDrawnOnce:
+    """Poolers built with the same arguments in one process share one
+    pool draw, and each draws its own permanences after it."""
+
+    @pytest.mark.parametrize("kwargs, digest", INIT_DIGESTS)
+    def test_second_pooler_reuses_the_draw(self, kwargs, digest):
+        spatial_pooler._pool_draw.cache_clear()
+        first, second = SpatialPooler(**kwargs), SpatialPooler(**kwargs)
+        assert spatial_pooler._pool_draw.cache_info().hits == 1
+        assert first.pool is second.pool
+        assert init_digest(first) == init_digest(second) == digest
+
+    def test_permanences_are_independent(self):
+        kwargs = dict(n_input=100, n_columns=64, k_active=8, seed=5)
+        first, second = SpatialPooler(**kwargs), SpatialPooler(**kwargs)
+        assert not np.shares_memory(first.permanences, second.permanences)
+        perms, connected = second.permanences.copy(), second.connected.copy()
+        before = first.permanences.copy()
+        for _ in range(5):
+            first.compute(bits(*range(40, 61)), learn=True)
+        assert not np.array_equal(first.permanences, before)
+        assert second.permanences.tobytes() == perms.tobytes()
+        assert np.array_equal(second.connected, connected)
+
+    def test_shared_pool_is_read_only(self):
+        sp = SpatialPooler(n_input=50, n_columns=8, k_active=2, seed=3)
+        with pytest.raises(ValueError):
+            sp.pool[0, 0] = 1

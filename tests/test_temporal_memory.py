@@ -42,6 +42,19 @@ class TestValidation:
         with pytest.raises(ValidationError):
             flat_tm(sample_size=8, max_synapses_per_segment=4)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(max_segments_per_cell=0), dict(max_segments_per_cell=-1),
+        dict(initial_permanence=0.0), dict(initial_permanence=-0.5),
+        dict(initial_permanence=1.5), dict(connect_threshold=0.0),
+        dict(connect_threshold=1.0), dict(connect_threshold=1.5),
+    ])
+    def test_out_of_range_parameters_rejected(self, kwargs):
+        with pytest.raises(ValidationError):
+            flat_tm(**kwargs)
+
+    def test_range_edges_allowed(self):
+        flat_tm(max_segments_per_cell=1, initial_permanence=1.0, connect_threshold=0.99)
+
 
 class TestPrediction:
     def test_no_segments_no_predictions(self):
