@@ -1,5 +1,10 @@
 """Command-line harness: ``run``, ``score``, ``synth``, ``inspect``.
 
+``run`` reads each series file into columns, steps a fresh detector
+through them and writes a score file whose rows are the series rows as
+read, each followed by ``,`` and its score; timestamps and values are not
+formatted again.
+
 Exit codes: 0 success, 1 validation error, 2 data error. The default
 config path can be set through the HTMPM_CONFIG environment variable.
 """
@@ -51,6 +56,8 @@ def _run_one(args):
 
 
 def cmd_run(cfg: RunConfig, workers: int = 1) -> Path:
+    if workers < 1:
+        raise ValidationError(f"--workers must be at least 1, got {workers}")
     files = sorted(cfg.corpus_dir.glob("*.csv"))
     if not files:
         raise DataError(f"no .csv series in {cfg.corpus_dir}")

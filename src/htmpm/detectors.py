@@ -13,7 +13,9 @@ null.
 Numeric parameters are checked where they are read: an integer setting
 accepts an int or text spelling one, a number setting any real number or
 text spelling one; a bool, a fraction for an integer, nan, an infinity or
-other text raise ValidationError naming the key.
+other text raise ValidationError naming the key. The HTM encoder's
+``value_min`` and ``value_max`` come together or not at all; without them
+the encoder calibrates on the training prefix.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import dataclass, field
 from .anomaly import LikelihoodState, update_likelihood
 from .encoder import ScalarEncoderConfig, calibrated_config, encode
 from .errors import DataError, StreamError, ValidationError
+from .series import _as_columns
 from .spatial_pooler import SpatialPooler
 from .temporal_memory import TemporalMemory
 
@@ -213,7 +216,11 @@ class HtmDetector:
         value_min = p.pop("value_min", None)
         value_max = p.pop("value_max", None)
         self.encoder_cfg: ScalarEncoderConfig | None = None
-        if value_min is not None and value_max is not None:
+        if (value_min is None) != (value_max is None):
+            given, missing = (("value_min", "value_max") if value_max is None
+                              else ("value_max", "value_min"))
+            raise ValidationError(f"{given} needs {missing}: give both bounds or neither")
+        if value_min is not None:
             self.encoder_cfg = ScalarEncoderConfig(
                 self.encoder_bits, self.encoder_width,
                 _number("value_min", value_min), _number("value_max", value_max),
@@ -289,26 +296,31 @@ def build_detector(cfg: DetectorConfig):
 def run_file(cfg: DetectorConfig, series, train_fraction: float = 0.15) -> list[float]:
     """Run a fresh detector over one file's records.
 
+    ``series`` is ``Columns``, as ``read_series`` returns, or
+    ``(datetime, float)`` pairs, which become columns first. Each record is
+    stepped once, in order, as ``step(timestamp, value)`` with the
+    timestamp in int microseconds since 1970-01-01 (naive UTC); timestamps
+    out of order are refused before any record is stepped.
+
     The first train_fraction of records is still fed through the detector
     (online learning), but their emitted scores are forced to 0 so the
     scorer never credits detections inside the training stretch. Only that
     prefix calibrates the detector: with an empty prefix, a detector that
     needs calibration fails rather than look ahead into the scored stream.
     """
-    records = list(series)
-    if not records:
+    columns = _as_columns(series)
+    if not len(columns):
         raise DataError("empty series")
     if not 0.0 <= train_fraction < 1.0:
         raise ValidationError(f"train_fraction must be in [0, 1), got {train_fraction}")
-    n_train = int(len(records) * train_fraction)
+    late = columns.times[1:] < columns.times[:-1]
+    if late.any():
+        raise StreamError(f"timestamps out of order at record {int(late.argmax()) + 1}")
+    n_train = int(len(columns) * train_fraction)
     detector = build_detector(cfg)
-    detector.calibrate([v for _, v in records[:n_train]])
-    scores: list[float] = []
-    prev_ts = None
-    for i, (ts, value) in enumerate(records):
-        if prev_ts is not None and ts < prev_ts:
-            raise StreamError(f"timestamps out of order at record {i}: {ts} < {prev_ts}")
-        prev_ts = ts
-        score = detector.step(ts, value)
-        scores.append(0.0 if i < n_train else score)
+    values = columns.values.tolist()
+    detector.calibrate(values[:n_train])
+    step = detector.step
+    scores = [step(ts, value) for ts, value in zip(columns.times.tolist(), values)]
+    scores[:n_train] = [0.0] * n_train
     return scores

@@ -5,27 +5,32 @@ Series files carry the exact header ``timestamp,value``; score files carry
 UTC and stored naive; fractional seconds are preserved. Floats are written
 with shortest round-trip repr so reruns are byte-identical.
 
-Both kinds are written by one column writer. ``write_series`` and
-``write_scores`` take ``(datetime, float)`` pairs or ``Columns``; pairs
-become columns first. Timestamps are formatted from int64 microseconds by
-``np.datetime_as_string``, with a whole second written without a fraction
-as ``datetime.isoformat`` writes it; each number column is one ``map(repr,
-...)`` over Python floats, and the file is one join. Records the readers
-would refuse are refused before the file is opened, naming the path and
-the record's index: a non-finite value or a score outside [0, 1]
-(``DataError``), a timestamp outside the years 1 to 9999 (``DataError``)
-and timestamps out of order (``StreamError``).
-
 Both kinds go through one column parser. It splits the whole file into
 fields at once and parses each column with one ``map``
 (``datetime.fromisoformat`` for the timestamps, ``float`` for the
 numbers); field counts, timestamps, finiteness, the score range [0, 1]
 and the timestamp order are checked a column at a time. Blank lines are
-skipped, but an error still names ``path:line`` counting them. ``read_series``
-returns ``(datetime, float)`` pairs, the records the detectors step
-through. ``read_scores`` returns ``Columns``: ``times`` as int64
-microseconds since 1970-01-01 (naive UTC), and ``values`` and ``scores``
-as float64 arrays, which the scorer uses as they are.
+skipped, but an error still names ``path:line`` counting them. Every
+reader returns ``Columns``: ``times`` as int64 microseconds since
+1970-01-01 (naive UTC), and ``values`` and ``scores`` as float64 arrays.
+``read_series`` also keeps ``rows``, each record's text exactly as read
+(line end stripped), which the detectors do not need but the score file
+repeats; the scorer uses ``read_scores``' columns as they are.
+
+Both kinds are written by one column writer. ``write_series`` and
+``write_scores`` take ``(datetime, float)`` pairs or ``Columns``; pairs
+become columns first. Records that carry their ``rows`` are written as
+those rows, so a score file repeats its series file's records as they
+were read, each followed by ``,`` and the score's repr. Otherwise the
+timestamps are formatted from int64 microseconds by
+``np.datetime_as_string``, with a whole second written without a fraction
+as ``datetime.isoformat`` writes it, and each number column is one
+``map(repr, ...)`` over Python floats; the file is one join. Records the
+readers would refuse are refused before the file is opened, naming the
+path and the record's index: a non-finite value or a score outside [0, 1]
+(``DataError``), a timestamp outside the years 1 to 9999 (``DataError``)
+and timestamps out of order (``StreamError``). Rows were checked when
+they were read, so only their scores are checked again.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import json
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from itertools import compress, count, islice, repeat
-from operator import attrgetter, itemgetter, lt
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -85,14 +90,24 @@ _FIRST_US, _LAST_US = _micros([datetime.min, datetime.max])
 class Columns:
     """A CSV file's records as columns: ``times`` int64 microseconds since
     1970-01-01 (naive UTC), ``values`` and ``scores`` float64; ``scores`` is
-    None for a series file. ``len`` is the record count."""
+    None for a series file. ``rows``, when given, holds each record's text
+    as read, which the writer repeats instead of formatting ``times`` and
+    ``values``. ``len`` is the record count; a slice of the records is
+    ``Columns`` too."""
 
     times: np.ndarray
     values: np.ndarray
     scores: np.ndarray | None = None
+    rows: list[str] | None = None
 
     def __len__(self) -> int:
         return len(self.times)
+
+    def __getitem__(self, index: slice) -> Columns:
+        if not isinstance(index, slice):
+            raise TypeError("Columns take a slice of records, not a single record")
+        return Columns(*(None if c is None else c[index]
+                         for c in (self.times, self.values, self.scores, self.rows)))
 
     def span(self) -> tuple[datetime, datetime]:
         """The first and the last timestamp."""
@@ -149,10 +164,11 @@ class _FirstBadRow:
             return parsed
 
 
-def _parse(path, header=None) -> tuple[list[datetime], list[np.ndarray]]:
-    """The one CSV parser: a series or score file's timestamps
-    (naive UTC datetimes) and its number columns (float64). With no
-    ``header`` given, a header naming ``anomaly_score`` marks a score file.
+def _parse(path, header=None) -> tuple[list[str], np.ndarray, list[np.ndarray]]:
+    """The one CSV parser: a series or score file's record texts, its
+    timestamps (int64 microseconds, naive UTC) and its number columns
+    (float64). With no ``header`` given, a header naming ``anomaly_score``
+    marks a score file.
     """
     path = Path(path)
     lines = _read_text(path).splitlines()
@@ -176,6 +192,7 @@ def _parse(path, header=None) -> tuple[list[datetime], list[np.ndarray]]:
     stamps = bad.parse(datetime.fromisoformat, texts[0], DataError, None, 0)
     if any(map(_TZINFO, stamps)):
         stamps = list(map(_naive_utc, stamps))
+    times = _micros(stamps)
     number = "bad number in {line!r}" if scores else "bad value {field!r}"
     columns = [np.array(bad.parse(float, texts[k], DataError, number, 1), dtype=float)
                for k in range(1, width)]
@@ -183,8 +200,7 @@ def _parse(path, header=None) -> tuple[list[datetime], list[np.ndarray]]:
     if scores:
         s = columns[1]
         bad.flag(~((s >= 0.0) & (s <= 1.0)), DataError, "score {field!r} outside [0, 1]", 2)
-    earlier = np.fromiter(map(lt, stamps, stamps[:1] + stamps), bool, len(stamps))
-    bad.flag(earlier, StreamError, "timestamps out of order", 0)
+    bad.flag(np.r_[False, times[1:] < times[:-1]], StreamError, "timestamps out of order", 0)
     if bad.fault is not None:
         lineno = next(islice(compress(count(2), map(str.strip, lines[1:])), bad.row, None))
         line = lines[lineno - 1]
@@ -198,29 +214,31 @@ def _parse(path, header=None) -> tuple[list[datetime], list[np.ndarray]]:
         raise error(f"{path}:{lineno}: " + template.format(line=line, field=field))
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return stamps, columns
+    return rows, times, columns
 
 
-def read_series(path) -> list[tuple[datetime, float]]:
-    stamps, (values,) = _parse(path, SERIES_HEADER)
-    return list(zip(stamps, values.tolist()))
+def read_series(path) -> Columns:
+    """A series file as columns, with each record's text in ``rows``."""
+    rows, times, (values,) = _parse(path, SERIES_HEADER)
+    return Columns(times, values, rows=rows)
 
 
 def read_scores(path) -> Columns:
-    stamps, (values, scores) = _parse(path, SCORES_HEADER)
-    return Columns(_micros(stamps), values, scores)
+    _, times, (values, scores) = _parse(path, SCORES_HEADER)
+    return Columns(times, values, scores)
 
 
 def read_columns(path) -> Columns:
     """A series or a score file, told apart by its header, as columns."""
-    stamps, columns = _parse(path)
-    return Columns(_micros(stamps), *columns)
+    _, times, columns = _parse(path)
+    return Columns(times, *columns)
 
 
 def _as_columns(records) -> Columns:
     """``(datetime, float)`` pairs as columns; ``Columns`` as they are."""
     if isinstance(records, Columns):
         return records
+    records = list(records)
     stamps = list(map(itemgetter(0), records))
     if any(map(_TZINFO, stamps)):
         stamps = list(map(_naive_utc, stamps))
@@ -238,26 +256,29 @@ def _refuse(path, mask: np.ndarray, error, template: str, column: np.ndarray) ->
 
 def _write_columns(path, columns: Columns) -> None:
     """The one CSV writer: a series file, or a score file when ``columns``
-    has scores. A record the matching reader would refuse is refused before
-    the file is opened."""
-    times, values, scores = columns.times, columns.values, columns.scores
-    _refuse(path, ~np.isfinite(values), DataError, "non-finite value {!r}", values)
+    has scores. Records with ``rows`` are written as those rows, which
+    their reader checked; others are formatted from ``times`` and
+    ``values``. A record the matching reader would refuse is refused
+    before the file is opened."""
+    times, values, scores, rows = columns.times, columns.values, columns.scores, columns.rows
+    if rows is None:
+        _refuse(path, ~np.isfinite(values), DataError, "non-finite value {!r}", values)
+        _refuse(path, (times < _FIRST_US) | (times > _LAST_US), DataError,
+                "timestamp outside the years 1 to 9999", times)
+        _refuse(path, np.r_[False, times[1:] < times[:-1]], StreamError,
+                "timestamps out of order", times)
+        instants = times.astype("datetime64[us]")
+        stamps = np.datetime_as_string(instants, unit="us")
+        whole = times % 1_000_000 == 0  # isoformat omits a zero fraction
+        stamps[whole] = np.datetime_as_string(instants[whole].astype("datetime64[s]"), unit="s")
+        # repr of Python floats: numpy 2 spells a float64's repr np.float64(...)
+        rows = map(",".join, zip(stamps.tolist(), map(repr, values.tolist())))
     if scores is not None:
         _refuse(path, ~((scores >= 0.0) & (scores <= 1.0)), DataError,
                 "score {!r} outside [0, 1]", scores)
-    _refuse(path, (times < _FIRST_US) | (times > _LAST_US), DataError,
-            "timestamp outside the years 1 to 9999", times)
-    _refuse(path, np.r_[False, times[1:] < times[:-1]], StreamError,
-            "timestamps out of order", times)
-    instants = times.astype("datetime64[us]")
-    stamps = np.datetime_as_string(instants, unit="us")
-    whole = times % 1_000_000 == 0  # isoformat omits a zero fraction
-    stamps[whole] = np.datetime_as_string(instants[whole].astype("datetime64[s]"), unit="s")
-    # repr of Python floats: numpy 2 spells a float64's repr np.float64(...)
-    fields = [stamps.tolist()] + [list(map(repr, c.tolist()))
-                                  for c in (values, scores) if c is not None]
+        rows = map(",".join, zip(rows, map(repr, scores.tolist())))
     header = SERIES_HEADER if scores is None else SCORES_HEADER
-    Path(path).write_text("\n".join([header, *map(",".join, zip(*fields))]) + "\n")
+    Path(path).write_text("\n".join([header, *rows]) + "\n")
 
 
 def write_series(path, records) -> None:
@@ -267,11 +288,13 @@ def write_series(path, records) -> None:
 
 def write_scores(path, records, scores) -> None:
     """Records as ``write_series`` takes them, and one score per record,
-    as a score file."""
+    as a score file: each row is the record's row, as read when the
+    records carry ``rows``, then ``,`` and the score's repr."""
     if len(records) != len(scores):
         raise DataError(f"{len(scores)} scores for {len(records)} records")
     columns = _as_columns(records)
-    _write_columns(path, Columns(columns.times, columns.values, np.asarray(scores, dtype=float)))
+    _write_columns(path, Columns(columns.times, columns.values,
+                                 np.asarray(scores, dtype=float), columns.rows))
 
 
 def read_labels(path) -> dict[str, list[datetime]]:

@@ -200,8 +200,7 @@ def test_criterion_6_benchmark_ordering(tmp_path):
     records = {p.name: read_series(p) for p in sorted(corpus.glob("*.csv"))}
     windows = {}
     for name, recs in records.items():
-        span = (recs[0][0], recs[-1][0])
-        windows[name] = make_windows(labels[name], span, 0.10,
+        windows[name] = make_windows(labels[name], recs.span(), 0.10,
                                      source_file=name)
 
     htm_params = {"value_min": -8.0, "value_max": 8.0, "encoder_bits": 800}
@@ -211,7 +210,7 @@ def test_criterion_6_benchmark_ordering(tmp_path):
         outputs = {}
         for name, recs in records.items():
             scores = run_file(DetectorConfig(kind, params, seed=5), recs, 0.15)
-            outputs[name] = [(t, s) for (t, _), s in zip(recs, scores)]
+            outputs[name] = (recs.times, scores)
         result = benchmark(kind, outputs, windows, [STANDARD])[0]
         normalized[kind] = result.normalized_score
 

@@ -6,11 +6,25 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
+import numpy as np
+
 from htmpm.cli import _sample_times, cmd_synth_generate, main
 from htmpm.series import (read_scores, read_series, write_labels,
-                          write_series)
+                          write_scores, write_series)
 
 T0 = datetime(2021, 1, 1)
+EPOCH = datetime(1970, 1, 1)
+
+# Non-canonical spellings the readers accept: offsets, Z, a space
+# separator, a fraction, and values not in shortest repr
+NON_CANONICAL_ROWS = [
+    "2021-01-01T05:30:00+05:30,1.50",
+    "2021-01-01T00:00:01Z,2",
+    "2021-01-01 00:00:02,-0.250",
+    "2021-01-01T00:00:03.500000,1e-05",
+    "2021-01-01T01:00:04+01:00,3.0",
+    "2021-01-01T00:00:05.000Z,2",
+]
 
 
 def make_corpus(root, n_files=2, n_records=60, spike_at=40):
@@ -181,6 +195,38 @@ class TestRunCommand:
         assert err.startswith("error: ") and param.partition("=")[0].removeprefix("tm_") in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("params", [["value_min=-1"], ["value_max=1"],
+                                        ["value_min=-inf"]])
+    def test_lone_encoder_bound_exits_1(self, tmp_path, capsys, params):
+        corpus, _ = make_corpus(tmp_path, n_files=1)
+        rc = main(["run", "--corpus", str(corpus), "--output", str(tmp_path / "out"),
+                   "--detector", "htm_hd", *(f"--param={p}" for p in params)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        missing = "value_max" if params[0].startswith("value_min") else "value_min"
+        assert err.startswith("error: ") and missing in err
+        assert "Traceback" not in err
+
+    def test_both_encoder_bounds_run(self, tmp_path):
+        corpus, _ = make_corpus(tmp_path, n_files=1)
+        rc = main(["run", "--corpus", str(corpus), "--output", str(tmp_path / "out"),
+                   "--detector", "htm_hd", "--param", "value_min=-1",
+                   "--param", "value_max=12", "--param", "n_columns=256"])
+        assert rc == 0
+        assert len(read_scores(tmp_path / "out" / "series_0.csv")) == 60
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_1(self, tmp_path, capsys, workers):
+        corpus, _ = make_corpus(tmp_path, n_files=1)
+        out = tmp_path / "out"
+        rc = main(["run", "--corpus", str(corpus), "--output", str(out),
+                   "--detector", "null", f"--workers={workers}"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "--workers" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("entry", ["seed = abc", "train_fraction = x", "subsample = 1.5"])
     def test_bad_config_number_exits_1(self, tmp_path, capsys, entry):
         corpus, _ = make_corpus(tmp_path, n_files=1)
@@ -192,6 +238,54 @@ class TestRunCommand:
         assert rc == 1
         assert err.startswith("error: ") and entry.partition(" ")[0] in err
         assert "Traceback" not in err
+
+
+class TestRunEchoesSeriesRows:
+    """A score row is its series row as read, then ``,`` and the score."""
+
+    @pytest.mark.parametrize("detector", ["null", "windowed_gaussian", "htm_hd"])
+    def test_synth_corpus_matches_pair_writer(self, tmp_path, detector):
+        corpus, out = tmp_path / "corpus", tmp_path / "out"
+        cmd_synth_generate(corpus, n_files=2, duration=8.0, sample_rate=50.0, seed=3)
+        assert main(["run", "--corpus", str(corpus), "--output", str(out),
+                     "--detector", detector, "--seed", "1"]) == 0
+        for path in sorted(corpus.glob("*.csv")):
+            series = read_series(path)
+            pairs = [(EPOCH + timedelta(microseconds=t), v)
+                     for t, v in zip(series.times.tolist(), series.values.tolist())]
+            scores = read_scores(out / path.name).scores.tolist()
+            write_scores(tmp_path / "ref.csv", pairs, scores)
+            assert (out / path.name).read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def non_canonical_corpus(self, root):
+        """One series file of NON_CANONICAL_ROWS on five days, with a blank
+        line and CRLF line ends, and a label in its middle; its rows."""
+        corpus = root / "corpus"
+        corpus.mkdir()
+        rows = [row.replace("2021-01-01", f"2021-01-{day:02d}")
+                for day in range(1, 6) for row in NON_CANONICAL_ROWS]
+        lines = ["timestamp,value", *rows[:7], "", *rows[7:]]
+        (corpus / "odd.csv").write_bytes("".join(line + "\r\n" for line in lines).encode())
+        write_labels(root / "labels.json", {"odd.csv": [datetime(2021, 1, 3)]})
+        return corpus, rows
+
+    @pytest.mark.parametrize("subsample", [1, 2])
+    def test_non_canonical_rows_echoed(self, tmp_path, subsample):
+        corpus, rows = self.non_canonical_corpus(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", "--corpus", str(corpus), "--output", str(out),
+                     "--detector", "windowed_gaussian", "--train-fraction", "0.1",
+                     "--subsample", str(subsample)]) == 0
+        scored = read_scores(out / "odd.csv")
+        lines = (out / "odd.csv").read_text().splitlines()
+        assert lines[0] == "timestamp,value,anomaly_score"
+        assert lines[1:] == [f"{row},{score!r}" for row, score
+                             in zip(rows[::subsample], scored.scores.tolist(), strict=True)]
+        series = read_series(corpus / "odd.csv")[::subsample]
+        assert np.array_equal(scored.times, series.times)
+        assert np.array_equal(scored.values, series.values)
+        assert main(["score", "--scores", str(out), "--labels", str(tmp_path / "labels.json"),
+                     "--output", str(tmp_path / "results")]) == 0
 
 
 class TestScoreCommand:
@@ -368,7 +462,8 @@ class TestSynthCommand:
         cmd_synth_generate(tmp_path / "c", 1, 3000 / rate, rate, 3, start_time=start)
         path = tmp_path / "c" / "degradation_00.csv"
         records = read_series(path)
-        per_row = [(start + timedelta(seconds=j / rate), v) for j, (_, v) in enumerate(records)]
+        per_row = [(start + timedelta(seconds=j / rate), v)
+                   for j, v in enumerate(records.values.tolist())]
         write_series(tmp_path / "per_row.csv", per_row)
         assert path.read_bytes() == (tmp_path / "per_row.csv").read_bytes()
 
@@ -390,7 +485,7 @@ class TestSynthCommand:
                    "--sample-rate", "50", "--taper", "rect",
                    "--hop", "256"])
         assert rc == 0
-        mapped = [v for _, v in read_series(out)]
+        mapped = read_series(out).values.tolist()
         for got, (_, want) in zip(mapped, target_records):
             assert got == pytest.approx(want, abs=1e-9)
 

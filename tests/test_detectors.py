@@ -10,6 +10,7 @@ from htmpm.detectors import (DetectorConfig, HtmDetector, NullDetector,
                              WindowedGaussianDetector, build_detector,
                              run_file)
 from htmpm.errors import DataError, StreamError, ValidationError
+from htmpm.series import read_series, write_series
 
 T0 = datetime(2021, 1, 1)
 
@@ -225,6 +226,18 @@ class TestRunFile:
         recs[3] = (recs[1][0] - timedelta(seconds=1), 0.0)
         with pytest.raises(StreamError):
             run_file(DetectorConfig("null", {}), recs)
+
+    def test_out_of_order_pairs_name_the_record(self):
+        recs = series(range(5))
+        recs[3] = (recs[1][0] - timedelta(seconds=1), 0.0)
+        with pytest.raises(StreamError, match="out of order at record 3"):
+            run_file(DetectorConfig("null", {}), recs)
+
+    def test_columns_score_as_their_pairs(self, tmp_path):
+        recs = series([0, 5, 9, 2, 7, 4] * 10)
+        write_series(tmp_path / "s.csv", recs)
+        cfg = DetectorConfig("windowed_gaussian", {"window": 12})
+        assert run_file(cfg, read_series(tmp_path / "s.csv")) == run_file(cfg, recs)
 
     def test_bad_train_fraction_rejected(self):
         with pytest.raises(ValidationError):
