@@ -1,10 +1,11 @@
-"""Prediction-error anomaly score and the historical-distribution (HD)
-anomaly likelihood.
+"""The historical-distribution (HD) anomaly likelihood of raw scores.
 
 The raw score is the fraction of currently active columns that contained no
-cell predicted at the previous step. The likelihood compares the short-term
-mean of recent raw scores against the distribution of the full (bounded)
-score history under a Gaussian model: L = Phi((mu_short - mu) / sigma).
+cell predicted at the previous step; ``TemporalMemory.step`` returns it.
+The likelihood compares the short-term mean of recent raw scores against
+the distribution of the full (bounded) score history under a Gaussian
+model: L = Phi((mu_short - mu) / sigma), with sigma floored at
+``EPSILON_SIGMA`` so that a flat history gives 0.5.
 """
 
 from __future__ import annotations
@@ -14,19 +15,8 @@ from collections import deque
 
 from .errors import ValidationError
 
-
-def raw_anomaly_score(predicted_columns: set[int], active_columns) -> float:
-    """Fraction of active columns not predicted at the previous step.
-
-    0 = fully anticipated, 1 = fully novel; 0 when no columns are active.
-    The HTM detector takes this score from ``TemporalMemory.step``; this
-    function is its reference definition.
-    """
-    cols = list(active_columns)
-    if not cols:
-        return 0.0
-    hits = sum(1 for c in cols if c in predicted_columns)
-    return (len(cols) - hits) / len(cols)
+# the floor of the history's standard deviation
+EPSILON_SIGMA = 1e-6
 
 
 def gaussian_cdf(z: float) -> float:
@@ -36,15 +26,13 @@ def gaussian_cdf(z: float) -> float:
 class LikelihoodState:
     """Bounded history of raw scores with running first/second moments."""
 
-    def __init__(self, capacity: int = 1000, short_window: int = 10,
-                 epsilon_sigma: float = 1e-6):
+    def __init__(self, capacity: int = 1000, short_window: int = 10):
         if short_window > capacity:
             raise ValidationError("short_window cannot exceed history capacity")
         if short_window <= 0:
             raise ValidationError("short_window must be positive")
         self.capacity = capacity
         self.short_window = short_window
-        self.epsilon_sigma = epsilon_sigma
         self.history: deque[float] = deque()
         self._sum = 0.0
         self._sumsq = 0.0
@@ -79,7 +67,7 @@ def update_likelihood(raw: float, st: LikelihoodState) -> float:
         return 0.5
     mu = st._sum / n
     var = max(st._sumsq / n - mu * mu, 0.0)
-    sigma = max(math.sqrt(var), st.epsilon_sigma)
+    sigma = max(math.sqrt(var), EPSILON_SIGMA)
     mu_short = st._short_sum / st.short_window
     return gaussian_cdf((mu_short - mu) / sigma)
 

@@ -99,6 +99,8 @@ def cmd_score(scores_dir, labels_path, profiles, output_dir,
         raise ValidationError(f"unknown profile(s) {unknown}; choose from {sorted(PROFILES)}")
 
     score_files = sorted(p for p in scores_dir.glob("*.csv"))
+    if not score_files:
+        raise DataError(f"no .csv score files in {scores_dir}")
     outputs, windows_by_file = {}, {}
     names = {p.name for p in score_files}
     missing = sorted(set(labels) - names)
@@ -149,6 +151,8 @@ def _sample_times(start: datetime, n: int, rate: float) -> np.ndarray:
 def cmd_synth_generate(output_dir, n_files, duration, sample_rate, seed,
                        start_time=None):
     """Seeded degradation corpus: one CSV per file plus a labels JSON."""
+    if n_files < 1:
+        raise ValidationError(f"--files must be at least 1, got {n_files}")
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     start_time = start_time or datetime(2021, 1, 1)
@@ -298,10 +302,13 @@ def main(argv=None) -> int:
             else:
                 if not args.bearing or not args.target:
                     raise ValidationError("synth --mode map needs --bearing and --target")
+                # the default bin is the FFT resolution, derived only from a
+                # valid window: SynthSpec rejects a bad window before the bin
+                resolution = args.sample_rate / args.window_len if args.window_len > 0 else None
                 spec = SynthSpec(
                     window_len=args.window_len,
                     hop=args.hop or args.window_len // 2,
-                    bin_size=args.bin_size or args.sample_rate / args.window_len,
+                    bin_size=resolution if args.bin_size is None else args.bin_size,
                     sample_rate=args.sample_rate,
                     taper=args.taper,
                 )

@@ -9,7 +9,10 @@ Grammar, one entry per line:
 
 Keys are dotted paths. ``detector.param.*`` entries feed the detector's
 kind-specific parameter map; everything else is a top-level run setting.
-Values keep their textual form until the consumer coerces them.
+``RunConfig.from_entries`` coerces every ``detector.param.*`` value to an
+int, a float or a bool where its text reads as one (``_coerce``), and the
+detector checks it; a top-level value stays text until ``from_entries``
+checks it as the number that setting takes.
 """
 
 from __future__ import annotations

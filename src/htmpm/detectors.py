@@ -224,7 +224,6 @@ class HtmDetector:
             self.encoder_cfg = ScalarEncoderConfig(
                 self.encoder_bits, self.encoder_width,
                 _number("value_min", value_min), _number("value_max", value_max),
-                clip_input=True,
             )
         self.sp = SpatialPooler(
             n_input=self.encoder_bits,
@@ -256,8 +255,6 @@ class HtmDetector:
         )
         if p:
             raise ValidationError(f"unknown HTM parameter(s): {sorted(p)}")
-        self.last_raw = 0.0
-        self.last_likelihood = 0.5
 
     def calibrate(self, values):
         if self.encoder_cfg is None:
@@ -271,10 +268,9 @@ class HtmDetector:
                 "HTM detector needs value_min/value_max or a calibrate() call"
             )
         bits = encode(value, self.encoder_cfg)
-        raw = self.tm.step(self.sp.compute(bits, learn=True), learn=True)
-        self.last_raw = raw
-        self.last_likelihood = update_likelihood(raw, self.likelihood_state)
-        return self.last_likelihood if self.use_likelihood else raw
+        raw = self.tm.step(self.sp.compute(bits))
+        likelihood = update_likelihood(raw, self.likelihood_state)
+        return likelihood if self.use_likelihood else raw
 
 
 def build_detector(cfg: DetectorConfig):

@@ -3,6 +3,7 @@
 Classic contiguous-block encoder: the input range is divided into
 overlapping buckets and each value lights a block of w_active adjacent
 bits. Nearby values share bits, so semantic similarity becomes overlap.
+A value outside [value_min, value_max] encodes as the nearer edge.
 Stateless and deterministic.
 
 ``encode`` returns the active bits as a sorted int index array, the form
@@ -27,7 +28,6 @@ class ScalarEncoderConfig:
     w_active: int
     value_min: float
     value_max: float
-    clip_input: bool = True
 
     def __post_init__(self):
         if self.w_active <= 0 or self.n_bits <= 0:
@@ -58,17 +58,12 @@ def encode(value: float, cfg: ScalarEncoderConfig) -> np.ndarray:
     active bits out of n_bits.
 
     Monotone: larger values shift the block rightward. value_min maps to
-    bits {0..w-1}, value_max to the rightmost block.
+    bits {0..w-1}, value_max to the rightmost block; values outside the
+    range clip to it.
     """
     if not math.isfinite(value):
         raise ValidationError(f"cannot encode non-finite value {value!r}")
-    if cfg.clip_input:
-        value = min(max(value, cfg.value_min), cfg.value_max)
-    elif not cfg.value_min <= value <= cfg.value_max:
-        raise ValidationError(
-            f"value {value} outside [{cfg.value_min}, {cfg.value_max}] "
-            "and clip_input is off"
-        )
+    value = min(max(value, cfg.value_min), cfg.value_max)
     span = cfg.value_max - cfg.value_min
     bucket = int((value - cfg.value_min) / span * (cfg.n_buckets - 1) + 0.5)
     bucket = min(bucket, cfg.n_buckets - 1)
@@ -82,7 +77,7 @@ def calibrated_config(
     margin: float = 0.10,
 ) -> ScalarEncoderConfig:
     """Build a config from a training prefix: observed range plus a margin
-    on each side, clipping enabled for out-of-range test values."""
+    on each side; later values outside it clip to its edges."""
     values = list(training_values)
     if not values:
         raise ValidationError("cannot calibrate encoder on an empty training prefix")
@@ -97,5 +92,4 @@ def calibrated_config(
         w_active=w_active,
         value_min=lo - margin * span,
         value_max=hi + margin * span,
-        clip_input=True,
     )

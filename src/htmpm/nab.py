@@ -15,9 +15,9 @@ part of the curve, 2/(1+e^{5y}) - 1, is computed once per record. Every
 profile, and the detector, null and oracle streams, share that
 classification; a threshold sweep over every candidate is then one sort
 and one cumulative sum. A file's windows must be disjoint (``make_windows``
-merges overlapping ones); overlapping windows are rejected. ``score_run``
-scores one file at one threshold by direct scans: it is the brute-force
-reference the sweep is tested against.
+merges overlapping ones); overlapping windows are rejected. The
+brute-force reference the sweep is tested against, one file at one
+threshold by direct scans, is ``score_run`` in ``tests/test_nab.py``.
 
 Note on the sigmoid: the scoring curve is (a_tp - a_fp) * (2/(1+e^{5y}) - 1),
 which is +~1 at the window's left edge, 0 at its right edge, and saturates
@@ -45,9 +45,6 @@ class AnomalyWindow:
     def __post_init__(self):
         if not self.start < self.end:
             raise ValidationError(f"window start must precede end: {self.start}..{self.end}")
-
-    def __contains__(self, t: datetime) -> bool:
-        return self.start <= t <= self.end
 
 
 @dataclass(frozen=True)
@@ -117,55 +114,6 @@ def sigma(y: float, profile: ScoringProfile) -> float:
     return weight * (2.0 / (1.0 + math.exp(5.0 * y)) - 1.0)
 
 
-def _relative_position(t: datetime, window: AnomalyWindow) -> float:
-    """Window interior maps to [-1, 0]; after the window, positive in units
-    of the window length."""
-    length = (window.end - window.start).total_seconds()
-    return (t - window.end).total_seconds() / length
-
-
-def score_run(output, windows: list[AnomalyWindow], threshold: float,
-              profile: ScoringProfile) -> float:
-    """Score one file's detector output against its windows.
-
-    ``output`` is a sequence of (timestamp, score) pairs aligned with the
-    file's records. Only the earliest detection inside each window counts;
-    out-of-window detections are penalized relative to the nearest
-    preceding window (full penalty when there is none). Every missed
-    window deducts |a_fn|.
-    """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValidationError(f"threshold must be in [0, 1], got {threshold}")
-    windows = sorted(windows, key=lambda w: w.start)
-    detected: set[int] = set()
-    total = 0.0
-    for t, score in output:
-        if score < threshold:
-            continue
-        inside = None
-        for i, w in enumerate(windows):
-            if t in w:
-                inside = i
-                break
-        if inside is not None:
-            if inside not in detected:
-                detected.add(inside)
-                total += sigma(_relative_position(t, windows[inside]), profile)
-            continue
-        preceding = None
-        for w in windows:
-            if w.end < t:
-                preceding = w
-            else:
-                break
-        if preceding is None:
-            total += -(profile.a_tp - profile.a_fp)
-        else:
-            total += sigma(_relative_position(t, preceding), profile)
-    total += (len(windows) - len(detected)) * profile.a_fn
-    return total
-
-
 _NULL_SCORE = 0.5
 
 
@@ -200,7 +148,8 @@ class _Corpus:
                 holding[inside] = i[inside] + self.n_windows
                 ref = np.where(inside, i, np.searchsorted(ends, t, side="left") - 1)
                 near = np.flatnonzero(ref >= 0)
-                # the same float operations as _relative_position
+                # seconds past the window's end over its length in seconds:
+                # the float operations of the reference score_run
                 y = ((t[near] - ends[ref[near]]) / 1e6) / ((ends - starts) / 1e6)[ref[near]]
                 scored = y <= 3.0
                 c[near[scored]] = [2.0 / (1.0 + math.exp(5.0 * v)) - 1.0
@@ -295,9 +244,8 @@ def optimize_threshold(outputs: dict[str, list], windows_by_file: dict[str, list
                        profile: ScoringProfile) -> tuple[float, float]:
     """Sweep every distinct score value (plus 0 and 1) over the whole corpus
     and return (threshold, raw score) maximizing the summed score; ties go
-    to the highest threshold. Equivalent to re-scoring the corpus with
-    ``score_run`` at every candidate, but linear in the number of records
-    after one sort."""
+    to the highest threshold. Equivalent to re-scoring the corpus at every
+    candidate, but linear in the number of records after one sort."""
     return _sweep_outputs(outputs, windows_by_file)[1].best(profile)
 
 

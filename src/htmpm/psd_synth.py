@@ -14,6 +14,7 @@ up on a schedule, each step emitting an anomaly label.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,11 @@ _TAPERS = {
     "hann": lambda n: np.hanning(n + 1)[:n] if n > 1 else np.ones(n),
     "rect": np.ones,
 }
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValidationError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -41,8 +47,8 @@ class SynthSpec:
             raise ValidationError(f"window_len must be a power of two, got {self.window_len}")
         if not 0 < self.hop <= self.window_len:
             raise ValidationError("need 0 < hop <= window_len")
-        if self.sample_rate <= 0:
-            raise ValidationError("sample_rate must be positive")
+        _check_positive("sample_rate", self.sample_rate)
+        _check_positive("bin_size", self.bin_size)
         if self.bin_size < self.sample_rate / self.window_len:
             raise ValidationError(
                 f"bin_size {self.bin_size} finer than FFT resolution "
@@ -140,9 +146,11 @@ def generate_degradation(model: DegradationModel, duration: float,
     values is a float array of duration * sample_rate samples; label_times
     are the growth breakpoints in seconds. Deterministic for a given seed.
     """
-    if duration <= 0:
-        raise ValidationError("duration must be positive")
+    _check_positive("duration", duration)
+    _check_positive("sample_rate", sample_rate)
     n = int(round(duration * sample_rate))
+    if n < 1:
+        raise ValidationError(f"{duration} s at {sample_rate} Hz is no sample")
     t = np.arange(n) / sample_rate
     rng = np.random.default_rng(seed)
     values = rng.normal(0.0, model.baseline_sigma, size=n)

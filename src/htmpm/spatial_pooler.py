@@ -2,9 +2,10 @@
 
 Each column owns a proximal synapse set drawn from a random potential pool
 covering half the input by default. A column's score is the count of its
-connected synapses that land on active input bits; the top-k columns by
-score win, with ties broken by lowest column index. Hebbian learning nudges
-permanences of active columns toward the current input.
+connected synapses that land on active input bits; the top ``k_active``
+columns by score win, with ties broken by lowest column index. Hebbian
+learning nudges permanences of active columns toward the current input, by
+``perm_inc`` up and ``perm_dec`` down.
 
 Layout. Only the pool is stored. ``pool[c]`` holds column c's sorted input
 indices (``n_columns x pool_size``, in the smallest unsigned type that fits)
@@ -105,6 +106,8 @@ class SpatialPooler:
             raise ValidationError("potential_fraction must be in (0, 1]")
         if not 0.0 < connect_threshold < 1.0:
             raise ValidationError("connect_threshold must be in (0, 1)")
+        if perm_inc < 0 or perm_dec < 0:
+            raise ValidationError("learning rates must be non-negative")
         self.n_input = n_input
         self.n_columns = n_columns
         self.k_active = k_active
@@ -144,18 +147,11 @@ class SpatialPooler:
 
     def compute(self, active: np.ndarray, learn: bool = True) -> ColumnActivation:
         """One inhibition round over the sorted, distinct active input
-        indices; optionally apply proximal learning."""
-        activation = self.compute_columns(active, self.k_active)
-        if learn:
-            self.learn_proximal(active, activation)
-        return activation
-
-    def compute_columns(self, active: np.ndarray, k: int) -> ColumnActivation:
-        if not 0 < k <= self.n_columns:
-            raise ValidationError(f"need 0 < k <= n_columns, got k={k}")
+        indices: the top ``k_active`` columns by score, ties to the lowest
+        index; optionally apply proximal learning."""
         active = np.asarray(active, dtype=np.intp)
         if not len(active):
-            return ColumnActivation(active, self.n_columns, k)
+            return ColumnActivation(active, self.n_columns, self.k_active)
         if active[0] < 0 or active[-1] >= self.n_input:
             raise DimensionError(
                 f"input bits {active[0]}..{active[-1]} outside the pooler's "
@@ -166,27 +162,25 @@ class SpatialPooler:
             axis=0, dtype=np.min_scalar_type(len(active)))
         # top-k with lowest-index tie-break via a composite integer key
         key = scores.astype(np.int64) * (self.n_columns + 1) + self._tiebreak
+        k = self.k_active
         if k < self.n_columns:
             top_idx = np.argpartition(key, self.n_columns - k)[self.n_columns - k:]
         else:
             top_idx = np.arange(self.n_columns)
-        top = np.sort(top_idx[scores[top_idx] > 0])
-        return ColumnActivation(top, self.n_columns, k)
+        activation = ColumnActivation(np.sort(top_idx[scores[top_idx] > 0]), self.n_columns, k)
+        if learn:
+            self.learn_proximal(active, activation)
+        return activation
 
-    def learn_proximal(self, active: np.ndarray, activated: ColumnActivation,
-                       inc: float | None = None, dec: float | None = None) -> None:
+    def learn_proximal(self, active: np.ndarray, activated: ColumnActivation) -> None:
         """Reinforce active columns toward the input: pool synapses on
-        the active input indices gain ``inc``, the rest of the pool loses
-        ``dec``."""
-        inc = self.perm_inc if inc is None else inc
-        dec = self.perm_dec if dec is None else dec
-        if inc < 0 or dec < 0:
-            raise ValidationError("learning rates must be non-negative")
+        the active input indices gain ``perm_inc``, the rest of the pool
+        loses ``perm_dec``."""
         cols = np.asarray(activated.active_columns, dtype=np.intp)
         if not len(cols):
             return
-        delta = np.full(self.n_input, -dec)
-        delta[active] = inc
+        delta = np.full(self.n_input, -self.perm_dec)
+        delta[active] = self.perm_inc
         pool = self.pool[cols]
         before = self.permanences[cols]
         after = before + delta.take(pool)

@@ -36,7 +36,9 @@ a column that never activated are punished at a strictly slower rate, so
 forgetting is slower than updating.
 
 The per-record cycle is fixed: activate from the previous step's
-predictions, then learn, then compute the new predictions.
+predictions, then learn, then compute the new predictions. Every step
+learns. ``state_dict`` exports the learned segments in a canonical order;
+the package keeps no loader for it.
 """
 
 from __future__ import annotations
@@ -125,7 +127,7 @@ class TemporalMemory:
     # ------------------------------------------------------------------
     # stepping
 
-    def step(self, cols: ColumnActivation, learn: bool = True) -> float:
+    def step(self, cols: ColumnActivation) -> float:
         """Run one full activate -> learn -> predict cycle and return the
         raw anomaly score: bursting columns / active columns, 0 with none.
 
@@ -148,8 +150,7 @@ class TemporalMemory:
         bursting = columns[col_mask[columns]]
         winners = self._predicted_winners(predicted, self._active_counts[rows[correct]])
         burst_winners, matching_rows = self._burst_winners(bursting)
-        if learn:
-            self._learn(rows[correct], rows[~correct], burst_winners, matching_rows)
+        self._learn(rows[correct], rows[~correct], burst_winners, matching_rows)
         self._active_arr[:] = False
         self._active_arr[predicted] = True
         self._active_arr[:-1].reshape(self.n_columns, m)[bursting] = True
@@ -283,8 +284,8 @@ class TemporalMemory:
     def create_segment(self, cell: int, synapses: dict[int, float] | None = None) -> int:
         """Attach a new segment to a cell, evicting the least recently used
         one (ties to the lowest row) when the per-cell cap is reached.
-        Returns the segment's row id. Also used to implant segments in tests
-        and during deserialization."""
+        Returns the segment's row id. Also used to implant segments in
+        tests."""
         rows = self.segments_of(cell)
         if len(rows) >= self.max_segments_per_cell:
             self.destroy_segment(rows[int(np.argmin(self.seg_last_used[rows]))])
@@ -396,10 +397,3 @@ class TemporalMemory:
                 for row in live[np.argsort(self.seg_cell[live], kind="stable")]
             ],
         }
-
-    @classmethod
-    def from_state_dict(cls, state: dict) -> "TemporalMemory":
-        tm = cls(**state["params"])
-        for cell, synapses in state["segments"]:
-            tm.create_segment(cell, dict(synapses))
-        return tm

@@ -1,12 +1,17 @@
-"""Raw prediction-error score and the HD anomaly likelihood."""
+"""Raw prediction-error score and the HD anomaly likelihood.
+
+The raw score's reference definition lives in ``test_temporal_memory``,
+next to the test that checks ``TemporalMemory.step`` against it.
+"""
 
 import math
 
 import pytest
 
-from htmpm.anomaly import (LikelihoodState, gaussian_cdf, raw_anomaly_score,
-                           update_likelihood)
+from htmpm.anomaly import LikelihoodState, gaussian_cdf, update_likelihood
 from htmpm.errors import ValidationError
+
+from test_temporal_memory import raw_anomaly_score
 
 
 class TestRawScore:

@@ -326,6 +326,20 @@ class TestScoreCommand:
                    "--output", str(tmp_path / "r"), "--profiles", "bogus"])
         assert rc == 1
 
+    @pytest.mark.parametrize("make_dir", [False, True], ids=["missing", "empty"])
+    def test_no_score_files_exit_2(self, tmp_path, capsys, make_dir):
+        scores_dir = tmp_path / "scores"
+        if make_dir:
+            scores_dir.mkdir()
+        (tmp_path / "labels.json").write_text("{}")
+        rc = main(["score", "--scores", str(scores_dir),
+                   "--labels", str(tmp_path / "labels.json"),
+                   "--output", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("data error: ") and str(scores_dir) in err
+        assert "Traceback" not in err
+
     def test_missing_score_file_exits_2(self, tmp_path):
         corpus, labels = make_corpus(tmp_path)
         scores_dir = tmp_path / "scores"
@@ -492,6 +506,34 @@ class TestSynthCommand:
     def test_map_requires_inputs(self, tmp_path):
         rc = main(["synth", "--mode", "map", "--output", str(tmp_path / "o")])
         assert rc == 1
+
+    @pytest.mark.parametrize("args", [
+        ["--sample-rate", "-50"], ["--duration", "nan"], ["--sample-rate", "nan"],
+        ["--sample-rate", "0"], ["--files", "-2"], ["--files", "0"],
+        ["--duration", "1e-9"],
+    ])
+    def test_bad_generate_numbers_exit_1(self, tmp_path, capsys, args):
+        out = tmp_path / "synth"
+        rc = main(["synth", "--mode", "generate", "--output", str(out), *args])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not list(out.glob("*"))
+
+    @pytest.mark.parametrize("args", [
+        ["--window-len", "0"], ["--window-len", "-4"], ["--sample-rate", "nan"],
+        ["--bin-size", "nan"], ["--bin-size", "0"],
+    ])
+    def test_bad_map_numbers_exit_1(self, tmp_path, capsys, args):
+        series = tmp_path / "series.csv"
+        write_series(series, [(T0 + timedelta(seconds=i), float(i % 7)) for i in range(600)])
+        out = tmp_path / "mapped.csv"
+        rc = main(["synth", "--mode", "map", "--bearing", str(series),
+                   "--target", str(series), "--output", str(out), *args])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestInspectCommand:

@@ -48,6 +48,15 @@ class TestSynthSpec:
         with pytest.raises(ValidationError):
             spec(ratio_clamp=1.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(sample_rate=float("nan")), dict(sample_rate=float("inf")),
+        dict(sample_rate=0.0), dict(bin_size=float("nan")),
+        dict(bin_size=float("inf")),
+    ])
+    def test_rates_must_be_finite_and_positive(self, kwargs):
+        with pytest.raises(ValidationError, match="finite and positive"):
+            spec(**kwargs)
+
 
 class TestPsdMapIdentity:
     def target(self, n):
@@ -166,3 +175,13 @@ class TestGenerateDegradation:
         model = DegradationModel(baseline_sigma=0.1, fault_freqs=(), growth=())
         with pytest.raises(ValidationError):
             generate_degradation(model, 0.0, 50.0)
+
+    @pytest.mark.parametrize("duration, rate", [
+        (float("nan"), 50.0), (float("inf"), 50.0), (-1.0, 50.0),
+        (10.0, float("nan")), (10.0, float("inf")), (10.0, 0.0), (10.0, -50.0),
+        (1e-9, 50.0),
+    ])
+    def test_bad_duration_or_rate_rejected(self, duration, rate):
+        model = DegradationModel(baseline_sigma=0.1, fault_freqs=(), growth=())
+        with pytest.raises(ValidationError):
+            generate_degradation(model, duration, rate)

@@ -10,10 +10,10 @@ from htmpm.errors import DimensionError, ValidationError
 from htmpm.spatial_pooler import ColumnActivation, SpatialPooler
 
 
-def tiny_pooler(connected_sets, n_input=4, k=1):
+def tiny_pooler(connected_sets, n_input=4, k=1, **rates):
     """Pooler with hand-chosen connected input sets per column."""
     sp = SpatialPooler(n_input=n_input, n_columns=len(connected_sets),
-                       k_active=k, potential_fraction=1.0, seed=0)
+                       k_active=k, potential_fraction=1.0, seed=0, **rates)
     sp.permanences[:] = 0.1
     for c, bits in enumerate(connected_sets):
         sp.permanences[c, list(bits)] = 0.6
@@ -26,8 +26,9 @@ def bits(*indices):
     return np.array(indices, dtype=np.intp)
 
 
-def winners(sp, x, k):
-    return sp.compute_columns(x, k=k).active_columns.tolist()
+def winners(sp, x):
+    """One inhibition round without learning."""
+    return sp.compute(x, learn=False).active_columns.tolist()
 
 
 def activation(*columns, n_columns=2, k=1):
@@ -48,37 +49,37 @@ class TestComputeColumns:
     def test_hand_worked_top1(self):
         # columns connected to {0,1}, {2,3}, {1,2}; input {0,1} scores 2,0,1
         sp = tiny_pooler([{0, 1}, {2, 3}, {1, 2}])
-        act = sp.compute_columns(bits(0, 1), k=1)
+        act = sp.compute(bits(0, 1), learn=False)
         assert act.active_columns.dtype == np.intp
         assert act.active_columns.tolist() == [0]
 
     def test_empty_input_activates_nothing(self):
-        sp = tiny_pooler([{0, 1}, {2, 3}, {1, 2}])
-        assert winners(sp, bits(), k=2) == []
+        sp = tiny_pooler([{0, 1}, {2, 3}, {1, 2}], k=2)
+        assert winners(sp, bits()) == []
 
     def test_zero_score_columns_never_activate(self):
-        sp = tiny_pooler([{0, 1}, {2, 3}, {1, 2}])
-        assert winners(sp, bits(0), k=3) == [0]
+        sp = tiny_pooler([{0, 1}, {2, 3}, {1, 2}], k=3)
+        assert winners(sp, bits(0)) == [0]
 
     def test_k_equals_n_with_all_positive(self):
-        sp = tiny_pooler([{0}, {0, 1}, {0, 2}])
-        assert winners(sp, bits(0), k=3) == [0, 1, 2]
+        sp = tiny_pooler([{0}, {0, 1}, {0, 2}], k=3)
+        assert winners(sp, bits(0)) == [0, 1, 2]
 
     def test_tie_breaks_to_lowest_index(self):
         sp = tiny_pooler([{1}, {1}, {1}])
-        assert winners(sp, bits(1), k=1) == [0]
+        assert winners(sp, bits(1)) == [0]
         # still lowest-index when an earlier column is excluded by score
         sp2 = tiny_pooler([{0}, {1}, {1}])
-        assert winners(sp2, bits(1), k=1) == [1]
+        assert winners(sp2, bits(1)) == [1]
 
     def test_scores_above_255_do_not_wrap(self):
         sp = tiny_pooler([set(range(256)), set(range(10))], n_input=300)
-        assert winners(sp, bits(*range(300)), k=1) == [0]
+        assert winners(sp, bits(*range(300))) == [0]
 
     def test_dimension_mismatch(self):
         sp = tiny_pooler([{0, 1}])
         with pytest.raises(DimensionError):
-            sp.compute_columns(bits(4), k=1)
+            sp.compute(bits(4), learn=False)
 
     @pytest.mark.parametrize("x", [bits(0, 4), bits(-1, 0)])
     def test_any_bit_outside_the_input_rejected(self, x):
@@ -87,9 +88,9 @@ class TestComputeColumns:
             sp.compute(x, learn=True)
 
     def test_invalid_k(self):
-        sp = tiny_pooler([{0, 1}])
-        with pytest.raises(ValidationError):
-            sp.compute_columns(bits(0), k=0)
+        for k in (0, -1, 2):
+            with pytest.raises(ValidationError):
+                tiny_pooler([{0, 1}], k=k)
 
     def test_determinism_at_scale(self):
         sp = SpatialPooler(n_input=400, n_columns=256, k_active=8, seed=3)
@@ -105,48 +106,42 @@ class TestComputeColumns:
 
 class TestLearnProximal:
     def test_zero_rates_are_a_noop(self):
-        sp = tiny_pooler([{0, 1}, {2, 3}])
+        sp = tiny_pooler([{0, 1}, {2, 3}], perm_inc=0.0, perm_dec=0.0)
         before = sp.permanences.copy()
-        sp.learn_proximal(bits(0), activation(0),
-                          inc=0.0, dec=0.0)
+        sp.learn_proximal(bits(0), activation(0))
         assert np.array_equal(sp.permanences, before)
 
     def test_increment_crosses_connect_threshold(self):
-        sp = tiny_pooler([{0, 1}, {2, 3}])
+        sp = tiny_pooler([{0, 1}, {2, 3}], perm_inc=0.1, perm_dec=0.0)
         sp.permanences[0, 0] = 0.45
         sp.rebuild_connections()
         assert not sp.connected[0, 0]
-        sp.learn_proximal(bits(0), activation(0),
-                          inc=0.1, dec=0.0)
+        sp.learn_proximal(bits(0), activation(0))
         assert sp.permanences[0, 0] == pytest.approx(0.55)
         assert sp.connected[0, 0]
 
     def test_clamped_at_one(self):
-        sp = tiny_pooler([{0, 1}, {2, 3}])
+        sp = tiny_pooler([{0, 1}, {2, 3}], perm_inc=0.1, perm_dec=0.0)
         sp.permanences[0, 0] = 0.98
-        sp.learn_proximal(bits(0), activation(0),
-                          inc=0.1, dec=0.0)
+        sp.learn_proximal(bits(0), activation(0))
         assert sp.permanences[0, 0] == 1.0
 
     def test_clamped_at_zero(self):
-        sp = tiny_pooler([{0, 1}, {2, 3}])
+        sp = tiny_pooler([{0, 1}, {2, 3}], perm_inc=0.0, perm_dec=0.1)
         sp.permanences[0, 1] = 0.005
-        sp.learn_proximal(bits(0), activation(0),
-                          inc=0.0, dec=0.1)
+        sp.learn_proximal(bits(0), activation(0))
         assert sp.permanences[0, 1] == 0.0
 
     def test_inactive_columns_untouched(self):
-        sp = tiny_pooler([{0, 1}, {2, 3}])
+        sp = tiny_pooler([{0, 1}, {2, 3}], perm_inc=0.1, perm_dec=0.05)
         before = sp.permanences[1].copy()
-        sp.learn_proximal(bits(0), activation(0),
-                          inc=0.1, dec=0.05)
+        sp.learn_proximal(bits(0), activation(0))
         assert np.array_equal(sp.permanences[1], before)
 
     def test_negative_rates_rejected(self):
-        sp = tiny_pooler([{0, 1}])
-        with pytest.raises(ValidationError):
-            sp.learn_proximal(bits(0), activation(0, n_columns=1),
-                              inc=-0.1, dec=0.0)
+        for rates in (dict(perm_inc=-0.1), dict(perm_dec=-0.1)):
+            with pytest.raises(ValidationError):
+                tiny_pooler([{0, 1}], **rates)
 
     def test_permanences_stay_in_unit_interval(self):
         sp = SpatialPooler(n_input=50, n_columns=32, k_active=4, seed=1)
@@ -187,7 +182,8 @@ class DensePooler:
         self._connected = self.permanences >= self.connect_threshold
         self._tiebreak = np.arange(n_columns, 0, -1, dtype=np.int64)
 
-    def compute_columns(self, x, k):
+    def compute(self, x):
+        k = self.k_active
         if x.size == 0:
             return ColumnActivation(bits(), self.n_columns, k)
         scores = self._connected[:, x].sum(axis=1, dtype=np.int64)
@@ -200,6 +196,7 @@ class DensePooler:
         return ColumnActivation(bits(*sorted(top)), self.n_columns, k)
 
     def learn_proximal(self, x, activated, inc, dec):
+        """Proximal learning at the rates given for this step."""
         if not len(activated.active_columns):
             return
         cols = activated.active_columns
@@ -242,11 +239,12 @@ class TestPoolMatchesDense:
         for _ in range(30):
             w = int(rng.integers(0, n_input + 1)) if rng.random() < 0.9 else 0
             x = np.sort(rng.choice(n_input, size=w, replace=False))
-            act = sp.compute_columns(x, k)
+            act = sp.compute(x, learn=False)
             assert act.active_columns.dtype == np.intp
-            assert np.array_equal(act.active_columns, ref.compute_columns(x, k).active_columns)
+            assert np.array_equal(act.active_columns, ref.compute(x).active_columns)
             inc, dec = (float(r) for r in rng.choice(rates, size=2))
-            sp.learn_proximal(x, act, inc=inc, dec=dec)
+            sp.perm_inc, sp.perm_dec = inc, dec
+            sp.learn_proximal(x, act)
             ref.learn_proximal(x, act, inc=inc, dec=dec)
             assert dense_permanences(sp).tobytes() == ref.permanences.tobytes()
             assert np.array_equal(sp.connected, sp.permanences >= sp.connect_threshold)

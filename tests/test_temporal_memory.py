@@ -1,4 +1,9 @@
-"""Temporal memory: prediction, bursting activation, distal learning."""
+"""Temporal memory: prediction, bursting activation, distal learning.
+
+Two references live here, not in the package: ``raw_anomaly_score``, the
+definition that ``TemporalMemory.step``'s raw score is tested against, and
+``from_state_dict``, which rebuilds a memory from ``state_dict()``.
+"""
 
 import copy
 import hashlib
@@ -6,7 +11,6 @@ import hashlib
 import numpy as np
 import pytest
 
-from htmpm.anomaly import raw_anomaly_score
 from htmpm.cli import main
 from htmpm.detectors import HtmDetector
 from htmpm.errors import ValidationError
@@ -26,6 +30,26 @@ def flat_tm(n_columns=4, **kwargs):
 
 def cols(active, n_columns=4):
     return ColumnActivation(tuple(active), n_columns, max(len(active), 1))
+
+
+def raw_anomaly_score(predicted_columns, active_columns):
+    """Fraction of active columns not predicted at the previous step.
+
+    0 = fully anticipated, 1 = fully novel; 0 when no columns are active.
+    """
+    active = list(active_columns)
+    if not active:
+        return 0.0
+    hits = sum(1 for c in active if c in predicted_columns)
+    return (len(active) - hits) / len(active)
+
+
+def from_state_dict(state):
+    """A memory with the parameters and segments of ``state_dict()``."""
+    tm = TemporalMemory(**state["params"])
+    for cell, synapses in state["segments"]:
+        tm.create_segment(cell, dict(synapses))
+    return tm
 
 
 class TestValidation:
@@ -535,7 +559,7 @@ class TestSerialization:
         tm.step(cols([0, 1]))
         tm.step(cols([2]))
         state = tm.state_dict()
-        clone = TemporalMemory.from_state_dict(state)
+        clone = from_state_dict(state)
         assert clone.state_dict() == state
         assert clone.segment_count() == tm.segment_count()
 
