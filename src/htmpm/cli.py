@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, load_config
-from .detectors import DETECTOR_KINDS, DetectorConfig, run_file
+from .detectors import DETECTOR_KINDS, run_file
 from .errors import DataError, HtmpmError, ValidationError
 from .nab import PROFILES, benchmark, make_windows
 from .psd_synth import DegradationModel, SynthSpec, generate_degradation, psd_map
@@ -61,13 +61,14 @@ def cmd_run(cfg: RunConfig, workers: int = 1) -> Path:
     files = sorted(cfg.corpus_dir.glob("*.csv"))
     if not files:
         raise DataError(f"no .csv series in {cfg.corpus_dir}")
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     jobs = [(cfg, path) for path in files]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_one, jobs))
     else:
         outcomes = [_run_one(job) for job in jobs]
+    # made only once every file is scored, so a refused run leaves nothing
+    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "config_hash": _config_hash(cfg),
         "seed": cfg.seed,
@@ -110,7 +111,7 @@ def cmd_score(scores_dir, labels_path, profiles, output_dir,
         columns = read_scores(path)
         outputs[path.name] = (columns.times, columns.scores)
         windows_by_file[path.name] = make_windows(
-            labels.get(path.name, []), columns.span(), window_budget, source_file=path.name
+            labels.get(path.name, []), columns.span(), window_budget
         )
 
     results = benchmark(
@@ -153,8 +154,9 @@ def cmd_synth_generate(output_dir, n_files, duration, sample_rate, seed,
     """Seeded degradation corpus: one CSV per file plus a labels JSON."""
     if n_files < 1:
         raise ValidationError(f"--files must be at least 1, got {n_files}")
+    if seed < 0:
+        raise ValidationError(f"--seed must be >= 0, got {seed}")
     output_dir = Path(output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
     start_time = start_time or datetime(2021, 1, 1)
     labels_doc = {}
     rng = np.random.default_rng(seed)
@@ -176,11 +178,12 @@ def cmd_synth_generate(output_dir, n_files, duration, sample_rate, seed,
             baseline_sigma=0.02,
             fault_freqs=(fault_freq,),
             growth=breakpoints,
-            initial_amplitude=0.0,
         )
         values, label_times = generate_degradation(
             model, duration, sample_rate, seed=file_seed
         )
+        # made once generate_degradation has checked the duration and rate
+        output_dir.mkdir(parents=True, exist_ok=True)
         name = f"degradation_{i:02d}.csv"
         times = _sample_times(start_time, len(values), sample_rate)
         write_series(output_dir / name, Columns(times, values))
@@ -264,33 +267,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_params(pairs):
-    from .config import _coerce
-    params = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ValidationError(f"--param expects KEY=VALUE, got {pair!r}")
-        key, _, value = pair.partition("=")
-        params[key.strip()] = _coerce(value.strip())
-    return params
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
             entries = load_config(args.config) if args.config else {}
-            cfg = RunConfig.from_entries(
-                entries,
-                corpus_dir=args.corpus, output_dir=args.output,
-                detector_kind=args.detector, seed=args.seed,
-                train_fraction=args.train_fraction, subsample=args.subsample,
-            )
-            if args.param:
-                params = dict(cfg.detector.parameters)
-                params.update(_parse_params(args.param))
-                cfg.detector = DetectorConfig(cfg.detector.kind, params, cfg.seed)
-            cmd_run(cfg, workers=args.workers)
+            flags = {
+                "corpus_dir": args.corpus, "output_dir": args.output,
+                "detector.kind": args.detector, "seed": args.seed,
+                "train_fraction": args.train_fraction, "subsample": args.subsample,
+            }
+            # a flag not given, or an empty path, leaves the file's entry
+            entries.update((k, v) for k, v in flags.items() if v not in (None, ""))
+            for pair in args.param:
+                key, eq, value = pair.partition("=")
+                if not eq:
+                    raise ValidationError(f"--param expects KEY=VALUE, got {pair!r}")
+                entries[f"detector.param.{key.strip()}"] = value.strip()
+            cmd_run(RunConfig.from_entries(entries), workers=args.workers)
         elif args.command == "score":
             profiles = [p.strip() for p in args.profiles.split(",") if p.strip()]
             cmd_score(args.scores, args.labels, profiles, args.output,

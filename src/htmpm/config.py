@@ -5,19 +5,27 @@ Grammar, one entry per line:
     # comment
     key = value
     detector.kind = htm_hd
-    detector.param.n_columns = 2048
+    detector.param.n_columns = 1024
 
 Keys are dotted paths. ``detector.param.*`` entries feed the detector's
 kind-specific parameter map; everything else is a top-level run setting.
-``RunConfig.from_entries`` coerces every ``detector.param.*`` value to an
-int, a float or a bool where its text reads as one (``_coerce``), and the
-detector checks it; a top-level value stays text until ``from_entries``
-checks it as the number that setting takes.
+A value from the file or from ``--param`` stays text until it is parsed,
+once, where it is read: ``from_entries`` parses the top-level numbers,
+and the detector parses each of its parameters as the integer or number
+it takes.
+
+``htmpm run`` builds one entry map and hands it to ``from_entries``: the
+config file's entries, then the flags laid over them (``--corpus``,
+``--output``, ``--detector``, ``--seed``, ``--train-fraction``,
+``--subsample``; a flag not given, or an empty path, leaves the file's
+value), then each ``--param KEY=VALUE`` laid over them as
+``detector.param.KEY``. So a flag beats the file, and ``--param`` beats a
+``detector.param.*`` entry of the file.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .detectors import DetectorConfig, _integer, _number
@@ -49,17 +57,6 @@ def parse_config_text(text: str) -> dict[str, str]:
     return entries
 
 
-def _coerce(value: str):
-    for cast in (int, float):
-        try:
-            return cast(value)
-        except ValueError:
-            pass
-    if value.lower() in ("true", "false"):
-        return value.lower() == "true"
-    return value
-
-
 @dataclass
 class RunConfig:
     corpus_dir: Path
@@ -76,38 +73,30 @@ class RunConfig:
             )
         if self.subsample < 1:
             raise ValidationError("subsample step must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
     @classmethod
-    def from_entries(cls, entries: dict[str, str], **overrides) -> "RunConfig":
+    def from_entries(cls, entries: dict[str, str]) -> "RunConfig":
         params = {
-            key[len("detector.param."):]: _coerce(value)
+            key[len("detector.param."):]: value
             for key, value in entries.items()
             if key.startswith("detector.param.")
         }
-        seed = overrides.get("seed")
-        if seed is None:
-            seed = entries.get("seed", 0)
-        seed = _integer("seed", seed)
-        kind = overrides.get("detector_kind") or entries.get("detector.kind")
+        seed = _integer("seed", entries.get("seed", 0))
+        kind = entries.get("detector.kind")
         if not kind:
             raise ValidationError("no detector kind configured (detector.kind)")
-        corpus = overrides.get("corpus_dir") or entries.get("corpus_dir")
-        output = overrides.get("output_dir") or entries.get("output_dir")
+        corpus, output = entries.get("corpus_dir"), entries.get("output_dir")
         if not corpus or not output:
             raise ValidationError("corpus_dir and output_dir are required")
-        train_fraction = overrides.get("train_fraction")
-        if train_fraction is None:
-            train_fraction = entries.get("train_fraction", 0.15)
-        subsample = overrides.get("subsample")
-        if subsample is None:
-            subsample = entries.get("subsample", 1)
         return cls(
             corpus_dir=Path(corpus),
             output_dir=Path(output),
             detector=DetectorConfig(kind=kind, parameters=params, seed=seed),
-            train_fraction=_number("train_fraction", train_fraction),
+            train_fraction=_number("train_fraction", entries.get("train_fraction", 0.15)),
             seed=seed,
-            subsample=_integer("subsample", subsample),
+            subsample=_integer("subsample", entries.get("subsample", 1)),
         )
 
 

@@ -13,7 +13,10 @@ null.
 Numeric parameters are checked where they are read: an integer setting
 accepts an int or text spelling one, a number setting any real number or
 text spelling one; a bool, a fraction for an integer, nan, an infinity or
-other text raise ValidationError naming the key. The HTM encoder's
+other text raise ValidationError naming the key. Each HTM setting is one
+row of ``_HTM_SETTINGS``, which names its layer, that layer's argument and
+its parser; a setting that is not given takes the layer's own default, so
+each default is written once, in its layer. The HTM encoder's
 ``value_min`` and ``value_max`` come together or not at all; without them
 the encoder calibrates on the training prefix.
 """
@@ -26,7 +29,7 @@ import random
 from dataclasses import dataclass, field
 
 from .anomaly import LikelihoodState, update_likelihood
-from .encoder import ScalarEncoderConfig, calibrated_config, encode
+from .encoder import N_BITS, W_ACTIVE, ScalarEncoderConfig, calibrated_config, encode
 from .errors import DataError, StreamError, ValidationError
 from .series import _as_columns
 from .spatial_pooler import SpatialPooler
@@ -55,26 +58,6 @@ class DetectorConfig:
             )
 
 
-_HTM_PARAMS = {
-    "encoder_bits", "encoder_width", "value_min", "value_max",
-    "n_columns", "k_active", "m_cells",
-    "sp_potential_fraction", "sp_connect_threshold", "sp_perm_inc", "sp_perm_dec",
-    "tm_activation_threshold", "tm_connect_threshold", "tm_initial_permanence",
-    "tm_perm_inc", "tm_perm_dec", "tm_perm_punish", "tm_sample_size",
-    "tm_max_segments_per_cell", "tm_max_synapses_per_segment",
-    "likelihood_capacity", "likelihood_short_window",
-}
-
-_ALLOWED_PARAMS = {
-    "htm_hd": _HTM_PARAMS,
-    "htm_raw": _HTM_PARAMS,
-    "windowed_gaussian": {"window"},
-    "threshold": {"threshold", "feature", "rms_window", "calibration_sigmas"},
-    "random": set(),
-    "null": set(),
-}
-
-
 def _integer(key: str, value) -> int:
     if isinstance(value, str):
         try:
@@ -98,6 +81,43 @@ def _number(key: str, value) -> float:
     if not math.isfinite(number):
         raise ValidationError(f"{key} must be a finite number, got {value!r}")
     return number
+
+
+# each HTM setting: key -> (layer, that layer's argument, parser). A key
+# that is not given takes the layer's own default.
+_HTM_SETTINGS = {
+    "encoder_bits": ("encoder", "n_bits", _integer),
+    "encoder_width": ("encoder", "w_active", _integer),
+    "value_min": ("encoder", "value_min", _number),
+    "value_max": ("encoder", "value_max", _number),
+    "n_columns": ("sp", "n_columns", _integer),
+    "k_active": ("sp", "k_active", _integer),
+    "sp_potential_fraction": ("sp", "potential_fraction", _number),
+    "sp_connect_threshold": ("sp", "connect_threshold", _number),
+    "sp_perm_inc": ("sp", "perm_inc", _number),
+    "sp_perm_dec": ("sp", "perm_dec", _number),
+    "m_cells": ("tm", "m_cells", _integer),
+    "tm_activation_threshold": ("tm", "activation_threshold", _integer),
+    "tm_connect_threshold": ("tm", "connect_threshold", _number),
+    "tm_initial_permanence": ("tm", "initial_permanence", _number),
+    "tm_perm_inc": ("tm", "perm_inc", _number),
+    "tm_perm_dec": ("tm", "perm_dec", _number),
+    "tm_perm_punish": ("tm", "perm_punish", _number),
+    "tm_sample_size": ("tm", "sample_size", _integer),
+    "tm_max_segments_per_cell": ("tm", "max_segments_per_cell", _integer),
+    "tm_max_synapses_per_segment": ("tm", "max_synapses_per_segment", _integer),
+    "likelihood_capacity": ("likelihood", "capacity", _integer),
+    "likelihood_short_window": ("likelihood", "short_window", _integer),
+}
+
+_ALLOWED_PARAMS = {
+    "htm_hd": set(_HTM_SETTINGS),
+    "htm_raw": set(_HTM_SETTINGS),
+    "windowed_gaussian": {"window"},
+    "threshold": {"threshold", "feature", "rms_window", "calibration_sigmas"},
+    "random": set(),
+    "null": set(),
+}
 
 
 class NullDetector:
@@ -203,64 +223,30 @@ class HtmDetector:
     """
 
     def __init__(self, parameters: dict, seed: int = 0, use_likelihood: bool = True):
-        p = dict(parameters)
-
-        def integer(key, default):
-            return _integer(key, p.pop(key, default))
-
-        def number(key, default):
-            return _number(key, p.pop(key, default))
-
-        self.encoder_bits = integer("encoder_bits", 400)
-        self.encoder_width = integer("encoder_width", 21)
-        value_min = p.pop("value_min", None)
-        value_max = p.pop("value_max", None)
-        self.encoder_cfg: ScalarEncoderConfig | None = None
-        if (value_min is None) != (value_max is None):
-            given, missing = (("value_min", "value_max") if value_max is None
+        if ("value_min" in parameters) != ("value_max" in parameters):
+            given, missing = (("value_min", "value_max") if "value_min" in parameters
                               else ("value_max", "value_min"))
             raise ValidationError(f"{given} needs {missing}: give both bounds or neither")
-        if value_min is not None:
-            self.encoder_cfg = ScalarEncoderConfig(
-                self.encoder_bits, self.encoder_width,
-                _number("value_min", value_min), _number("value_max", value_max),
-            )
-        self.sp = SpatialPooler(
-            n_input=self.encoder_bits,
-            n_columns=integer("n_columns", 2048),
-            k_active=integer("k_active", 40),
-            potential_fraction=number("sp_potential_fraction", 0.5),
-            connect_threshold=number("sp_connect_threshold", 0.5),
-            perm_inc=number("sp_perm_inc", 0.05),
-            perm_dec=number("sp_perm_dec", 0.008),
-            seed=seed,
-        )
-        self.tm = TemporalMemory(
-            n_columns=self.sp.n_columns,
-            m_cells=integer("m_cells", 32),
-            activation_threshold=integer("tm_activation_threshold", 13),
-            connect_threshold=number("tm_connect_threshold", 0.5),
-            initial_permanence=number("tm_initial_permanence", 0.21),
-            perm_inc=number("tm_perm_inc", 0.1),
-            perm_dec=number("tm_perm_dec", 0.1),
-            perm_punish=number("tm_perm_punish", 0.01),
-            sample_size=integer("tm_sample_size", 20),
-            max_segments_per_cell=integer("tm_max_segments_per_cell", 128),
-            max_synapses_per_segment=integer("tm_max_synapses_per_segment", 40),
-        )
+        layers = {"encoder": {}, "sp": {}, "tm": {}, "likelihood": {}}
+        for key, value in parameters.items():
+            if key not in _HTM_SETTINGS:
+                raise ValidationError(f"unknown HTM parameter {key!r}")
+            layer, argument, parse = _HTM_SETTINGS[key]
+            layers[layer][argument] = parse(key, value)
+        self._encoder_args = {"n_bits": N_BITS, "w_active": W_ACTIVE, **layers["encoder"]}
+        self.encoder_cfg: ScalarEncoderConfig | None = None
+        if "value_min" in self._encoder_args:
+            self.encoder_cfg = ScalarEncoderConfig(**self._encoder_args)
+        self.sp = SpatialPooler(n_input=self._encoder_args["n_bits"], seed=seed,
+                                **layers["sp"])
+        self.tm = TemporalMemory(n_columns=self.sp.n_columns, **layers["tm"])
         self.use_likelihood = use_likelihood
-        self.likelihood_state = LikelihoodState(
-            capacity=integer("likelihood_capacity", 1000),
-            short_window=integer("likelihood_short_window", 10),
-        )
-        if p:
-            raise ValidationError(f"unknown HTM parameter(s): {sorted(p)}")
+        # built for htm_raw too, so that its likelihood_* settings are checked
+        self.likelihood_state = LikelihoodState(**layers["likelihood"])
 
     def calibrate(self, values):
         if self.encoder_cfg is None:
-            self.encoder_cfg = calibrated_config(
-                values, n_bits=self.encoder_bits, w_active=self.encoder_width
-            )
+            self.encoder_cfg = calibrated_config(values, **self._encoder_args)
 
     def step(self, timestamp, value) -> float:
         if self.encoder_cfg is None:
@@ -269,8 +255,7 @@ class HtmDetector:
             )
         bits = encode(value, self.encoder_cfg)
         raw = self.tm.step(self.sp.compute(bits))
-        likelihood = update_likelihood(raw, self.likelihood_state)
-        return likelihood if self.use_likelihood else raw
+        return update_likelihood(raw, self.likelihood_state) if self.use_likelihood else raw
 
 
 def build_detector(cfg: DetectorConfig):

@@ -21,6 +21,12 @@ import numpy as np
 
 from .errors import ValidationError
 
+# the HTM detector's encoder size: n_bits and w_active when none are given
+N_BITS = 400
+W_ACTIVE = 21
+# the share of the training range added on each side by calibrated_config
+MARGIN = 0.10
+
 
 @dataclass(frozen=True)
 class ScalarEncoderConfig:
@@ -71,13 +77,11 @@ def encode(value: float, cfg: ScalarEncoderConfig) -> np.ndarray:
 
 
 def calibrated_config(
-    training_values,
-    n_bits: int = 400,
-    w_active: int = 21,
-    margin: float = 0.10,
+    training_values, n_bits: int = N_BITS, w_active: int = W_ACTIVE
 ) -> ScalarEncoderConfig:
-    """Build a config from a training prefix: observed range plus a margin
-    on each side; later values outside it clip to its edges."""
+    """Build a config from a training prefix: observed range plus
+    ``MARGIN`` of it on each side; later values outside it clip to its
+    edges."""
     values = list(training_values)
     if not values:
         raise ValidationError("cannot calibrate encoder on an empty training prefix")
@@ -90,6 +94,6 @@ def calibrated_config(
     return ScalarEncoderConfig(
         n_bits=n_bits,
         w_active=w_active,
-        value_min=lo - margin * span,
-        value_max=hi + margin * span,
+        value_min=lo - MARGIN * span,
+        value_max=hi + MARGIN * span,
     )

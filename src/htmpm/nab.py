@@ -40,7 +40,6 @@ from .series import _micros
 class AnomalyWindow:
     start: datetime
     end: datetime
-    source_file: str = ""
 
     def __post_init__(self):
         if not self.start < self.end:
@@ -49,10 +48,12 @@ class AnomalyWindow:
 
 @dataclass(frozen=True)
 class ScoringProfile:
+    """NAB's weights for a true positive, a false positive and a missed
+    window. NAB weighs a true negative 0 in every profile, so none is kept."""
+
     name: str
     a_tp: float
     a_fp: float
-    a_tn: float
     a_fn: float
 
     def __post_init__(self):
@@ -62,9 +63,9 @@ class ScoringProfile:
             raise ValidationError("a_fp and a_fn are penalties and must be <= 0")
 
 
-STANDARD = ScoringProfile("standard", a_tp=1.0, a_fp=-0.11, a_tn=0.0, a_fn=-1.0)
-LOW_FP = ScoringProfile("low_fp", a_tp=1.0, a_fp=-0.22, a_tn=0.0, a_fn=-1.0)
-LOW_FN = ScoringProfile("low_fn", a_tp=1.0, a_fp=-0.11, a_tn=0.0, a_fn=-2.0)
+STANDARD = ScoringProfile("standard", a_tp=1.0, a_fp=-0.11, a_fn=-1.0)
+LOW_FP = ScoringProfile("low_fp", a_tp=1.0, a_fp=-0.22, a_fn=-1.0)
+LOW_FN = ScoringProfile("low_fn", a_tp=1.0, a_fp=-0.11, a_fn=-2.0)
 PROFILES = {p.name: p for p in (STANDARD, LOW_FP, LOW_FN)}
 
 
@@ -77,8 +78,8 @@ class BenchmarkResult:
     optimized_threshold: float
 
 
-def make_windows(labels, file_span, window_budget_fraction: float = 0.10,
-                 source_file: str = "") -> list[AnomalyWindow]:
+def make_windows(labels, file_span,
+                 window_budget_fraction: float = 0.10) -> list[AnomalyWindow]:
     """One window per label, centered on it, the total window budget split
     evenly across labels. Overlapping windows merge; all clip to the span.
     """
@@ -101,7 +102,7 @@ def make_windows(labels, file_span, window_budget_fraction: float = 0.10,
             merged[-1] = (merged[-1][0], max(merged[-1][1], end))
         else:
             merged.append((start, end))
-    return [AnomalyWindow(s, e, source_file) for s, e in merged]
+    return [AnomalyWindow(s, e) for s, e in merged]
 
 
 def sigma(y: float, profile: ScoringProfile) -> float:

@@ -21,6 +21,12 @@ import numpy as np
 
 from .errors import DataError, ValidationError
 
+# the largest factor, and 1 / it the smallest, by which a bin's amplitude
+# may change from one window to the next
+RATIO_CLAMP = 10.0
+# the bin power below which a ratio's terms count as this floor
+POWER_FLOOR = 1e-12
+
 _TAPERS = {
     "hann": lambda n: np.hanning(n + 1)[:n] if n > 1 else np.ones(n),
     "rect": np.ones,
@@ -39,8 +45,6 @@ class SynthSpec:
     bin_size: float
     sample_rate: float
     taper: str = "hann"
-    ratio_clamp: float = 10.0
-    power_floor: float = 1e-12
 
     def __post_init__(self):
         if self.window_len <= 0 or self.window_len & (self.window_len - 1):
@@ -54,8 +58,6 @@ class SynthSpec:
                 f"bin_size {self.bin_size} finer than FFT resolution "
                 f"{self.sample_rate / self.window_len}"
             )
-        if self.ratio_clamp <= 1:
-            raise ValidationError("ratio_clamp must exceed 1")
         if self.taper not in _TAPERS:
             raise ValidationError(f"unknown taper {self.taper!r}; use one of {sorted(_TAPERS)}")
 
@@ -99,10 +101,9 @@ def psd_map(bearing: np.ndarray, target: np.ndarray, spec: SynthSpec) -> np.ndar
             ratios = np.ones(n_bins)
         else:
             ratios = np.sqrt(
-                np.maximum(power, spec.power_floor)
-                / np.maximum(prev_power, spec.power_floor)
+                np.maximum(power, POWER_FLOOR) / np.maximum(prev_power, POWER_FLOOR)
             )
-            np.clip(ratios, 1.0 / spec.ratio_clamp, spec.ratio_clamp, out=ratios)
+            np.clip(ratios, 1.0 / RATIO_CLAMP, RATIO_CLAMP, out=ratios)
         prev_power = power
 
         spectrum_s = np.fft.rfft(target[start:start + L] * taper) * ratios[bins]
@@ -123,13 +124,12 @@ class DegradationModel:
     """Noise floor plus fault sinusoids with a stepped amplitude schedule.
 
     growth is a list of (time_seconds, amplitude) breakpoints; the amplitude
-    applies from its breakpoint onward and every breakpoint is an anomaly
-    label."""
+    is 0 before the first one, applies from its breakpoint onward, and every
+    breakpoint is an anomaly label."""
 
     baseline_sigma: float
     fault_freqs: tuple[float, ...]
     growth: tuple[tuple[float, float], ...]
-    initial_amplitude: float = 0.0
 
     def __post_init__(self):
         if self.baseline_sigma < 0:
@@ -155,7 +155,7 @@ def generate_degradation(model: DegradationModel, duration: float,
     rng = np.random.default_rng(seed)
     values = rng.normal(0.0, model.baseline_sigma, size=n)
 
-    amplitude = np.full(n, model.initial_amplitude)
+    amplitude = np.zeros(n)
     for bp_time, bp_amp in model.growth:
         amplitude[t >= bp_time] = bp_amp
     for i, freq in enumerate(model.fault_freqs):

@@ -56,7 +56,7 @@ MIN_MATCH = 10
 class TemporalMemory:
     def __init__(
         self,
-        n_columns: int = 2048,
+        n_columns: int,
         m_cells: int = 32,
         activation_threshold: int = 13,
         connect_threshold: float = 0.5,

@@ -140,7 +140,7 @@ def test_criterion_4_scorer_oracle_micro_corpus():
 
     # positional scoring: a detection at relative position y = -0.31
     # earns ~0.65 of the unit true-positive credit
-    unit = ScoringProfile("unit", a_tp=1.0, a_fp=0.0, a_tn=0.0, a_fn=-1.0)
+    unit = ScoringProfile("unit", a_tp=1.0, a_fp=0.0, a_fn=-1.0)
     assert sigma(-0.31, unit) == pytest.approx(0.65, abs=0.01)
 
     # the all-miss detector's raw score is exactly -(windows) * |a_fn|
@@ -200,8 +200,7 @@ def test_criterion_6_benchmark_ordering(tmp_path):
     records = {p.name: read_series(p) for p in sorted(corpus.glob("*.csv"))}
     windows = {}
     for name, recs in records.items():
-        windows[name] = make_windows(labels[name], recs.span(), 0.10,
-                                     source_file=name)
+        windows[name] = make_windows(labels[name], recs.span(), 0.10)
 
     htm_params = {"value_min": -8.0, "value_max": 8.0, "encoder_bits": 800}
     normalized = {}

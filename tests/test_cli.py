@@ -95,6 +95,29 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg)]) == 0
         assert (out / "series_1.csv").exists()
 
+    def test_precedence_file_then_flags_then_params(self, tmp_path):
+        corpus, _ = make_corpus(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"corpus_dir = {corpus}\noutput_dir = {tmp_path / 'file_out'}\n"
+            "detector.kind = null\nseed = 9\ntrain_fraction = 0.5\n"
+            "detector.param.threshold = 100\n"
+        )
+        # flags beat the file; an empty --corpus leaves the file's corpus
+        flags = ["--corpus", "", "--detector", "threshold", "--train-fraction", "0.15"]
+        out = tmp_path / "flag_out"
+        assert main(["run", "--config", str(cfg), "--output", str(out), *flags]) == 0
+        assert not (tmp_path / "file_out").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["detector"], manifest["seed"], manifest["train_fraction"]) == (
+            "threshold", 9, 0.15)
+        assert sum(read_scores(out / "series_0.csv").scores.tolist()) == 0.0
+        # --param beats the file's detector.param entry
+        assert main(["run", "--config", str(cfg), "--output", str(out), *flags,
+                     "--param", "threshold=5.0"]) == 0
+        scores = read_scores(out / "series_0.csv").scores.tolist()
+        assert scores[40] == 1.0 and sum(scores) == 1.0
+
     def test_subsample(self, tmp_path):
         corpus, _ = make_corpus(tmp_path)
         out = tmp_path / "out"
@@ -187,13 +210,26 @@ class TestRunCommand:
     ])
     def test_bad_htm_parameter_exits_1(self, tmp_path, capsys, param):
         corpus, _ = make_corpus(tmp_path, n_files=1)
-        rc = main(["run", "--corpus", str(corpus), "--output", str(tmp_path / "out"),
+        out = tmp_path / "out"
+        rc = main(["run", "--corpus", str(corpus), "--output", str(out),
                    "--detector", "htm_hd", "--param", param])
         err = capsys.readouterr().err
         assert rc == 1
         # the temporal memory names its own parameter, without the tm_ prefix
         assert err.startswith("error: ") and param.partition("=")[0].removeprefix("tm_") in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("detector", ["htm_hd", "random"])
+    def test_negative_seed_exits_1(self, tmp_path, capsys, detector):
+        corpus, _ = make_corpus(tmp_path, n_files=1)
+        out = tmp_path / "out"
+        rc = main(["run", "--corpus", str(corpus), "--output", str(out),
+                   "--detector", detector, "--seed", "-1"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "seed" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("params", [["value_min=-1"], ["value_max=1"],
                                         ["value_min=-inf"]])
@@ -510,7 +546,7 @@ class TestSynthCommand:
     @pytest.mark.parametrize("args", [
         ["--sample-rate", "-50"], ["--duration", "nan"], ["--sample-rate", "nan"],
         ["--sample-rate", "0"], ["--files", "-2"], ["--files", "0"],
-        ["--duration", "1e-9"],
+        ["--duration", "1e-9"], ["--seed", "-1"],
     ])
     def test_bad_generate_numbers_exit_1(self, tmp_path, capsys, args):
         out = tmp_path / "synth"
@@ -518,7 +554,7 @@ class TestSynthCommand:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error: ") and "Traceback" not in err
-        assert not list(out.glob("*"))
+        assert not out.exists()
 
     @pytest.mark.parametrize("args", [
         ["--window-len", "0"], ["--window-len", "-4"], ["--sample-rate", "nan"],

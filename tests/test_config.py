@@ -54,21 +54,22 @@ class TestRunConfig:
     def test_assembly_and_coercion(self):
         cfg = RunConfig.from_entries(self.base_entries())
         assert cfg.detector.kind == "threshold"
-        assert cfg.detector.parameters == {"threshold": 2.5, "feature": "abs"}
-        assert cfg.seed == 3
+        # parameters stay text; the detector parses each as it reads it
+        assert cfg.detector.parameters == {"threshold": "2.5", "feature": "abs"}
+        assert cfg.seed == 3 and cfg.detector.seed == 3
         assert cfg.train_fraction == 0.15
         assert cfg.subsample == 1
 
     def test_overrides_win(self):
-        cfg = RunConfig.from_entries(self.base_entries(),
-                                     train_fraction=0.2, subsample=4)
+        cfg = RunConfig.from_entries({**self.base_entries(),
+                                      "train_fraction": "0.2", "subsample": "4"})
         assert cfg.train_fraction == 0.2
         assert cfg.subsample == 4
 
     def test_detector_kind_override(self):
         entries = {"corpus_dir": "c", "output_dir": "o",
                    "detector.kind": "null"}
-        cfg = RunConfig.from_entries(entries, detector_kind="random")
+        cfg = RunConfig.from_entries({**entries, "detector.kind": "random"})
         assert cfg.detector.kind == "random"
 
     def test_missing_detector_kind_rejected(self):
@@ -85,11 +86,15 @@ class TestRunConfig:
 
     def test_train_fraction_bounds(self):
         with pytest.raises(ValidationError):
-            RunConfig.from_entries(self.base_entries(), train_fraction=1.0)
+            RunConfig.from_entries({**self.base_entries(), "train_fraction": "1.0"})
 
     def test_subsample_bounds(self):
         with pytest.raises(ValidationError):
-            RunConfig.from_entries(self.base_entries(), subsample=0)
+            RunConfig.from_entries({**self.base_entries(), "subsample": "0"})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            RunConfig.from_entries({**self.base_entries(), "seed": "-1"})
 
     def test_scoring_keys_rejected(self, tmp_path, capsys):
         # labels and profiles belong to `score` (--labels, --profiles)

@@ -5,8 +5,8 @@ from datetime import datetime, timedelta
 
 import pytest
 
-from htmpm.detectors import (DetectorConfig, HtmDetector, NullDetector,
-                             RandomDetector, ThresholdDetector,
+from htmpm.detectors import (_HTM_SETTINGS, DetectorConfig, HtmDetector,
+                             NullDetector, RandomDetector, ThresholdDetector,
                              WindowedGaussianDetector, build_detector,
                              run_file)
 from htmpm.errors import DataError, StreamError, ValidationError
@@ -148,6 +148,77 @@ class TestHtmDetector:
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValidationError):
             HtmDetector({"nonsense": 1}, seed=0)
+
+    def test_raw_mode_leaves_likelihood_alone(self):
+        det = HtmDetector({"value_min": 0.0, "value_max": 10.0}, seed=0,
+                          use_likelihood=False)
+        for t, v in series(range(20)):
+            det.step(t, v % 10)
+        assert len(det.likelihood_state) == 0
+
+    def test_raw_mode_still_checks_likelihood_settings(self):
+        with pytest.raises(ValidationError, match="short_window"):
+            build_detector(DetectorConfig("htm_raw", {"likelihood_short_window": "0"}))
+
+
+# for every HTM setting: a valid value other than its layer's default, as
+# text, the value it parses to, and where a built detector shows it
+NON_DEFAULT = {
+    "encoder_bits": ("256", 256, lambda d: d.encoder_cfg.n_bits),
+    "encoder_width": ("31", 31, lambda d: d.encoder_cfg.w_active),
+    "value_min": ("-3", -3.0, lambda d: d.encoder_cfg.value_min),
+    "value_max": ("5", 5.0, lambda d: d.encoder_cfg.value_max),
+    "n_columns": ("1024", 1024, lambda d: d.sp.n_columns),
+    "k_active": ("20", 20, lambda d: d.sp.k_active),
+    "sp_potential_fraction": ("0.25", 0.25, lambda d: d.sp.pool.shape[1] / d.sp.n_input),
+    "sp_connect_threshold": ("0.3", 0.3, lambda d: d.sp.connect_threshold),
+    "sp_perm_inc": ("0.07", 0.07, lambda d: d.sp.perm_inc),
+    "sp_perm_dec": ("0.02", 0.02, lambda d: d.sp.perm_dec),
+    "m_cells": ("16", 16, lambda d: d.tm.m_cells),
+    "tm_activation_threshold": ("9", 9, lambda d: d.tm.activation_threshold),
+    "tm_connect_threshold": ("0.4", 0.4, lambda d: d.tm.connect_threshold),
+    "tm_initial_permanence": ("0.3", 0.3, lambda d: d.tm.initial_permanence),
+    "tm_perm_inc": ("0.15", 0.15, lambda d: d.tm.perm_inc),
+    "tm_perm_dec": ("0.2", 0.2, lambda d: d.tm.perm_dec),
+    "tm_perm_punish": ("0.05", 0.05, lambda d: d.tm.perm_punish),
+    "tm_sample_size": ("25", 25, lambda d: d.tm.sample_size),
+    "tm_max_segments_per_cell": ("64", 64, lambda d: d.tm.max_segments_per_cell),
+    "tm_max_synapses_per_segment": ("50", 50, lambda d: d.tm.max_synapses_per_segment),
+    "likelihood_capacity": ("500", 500, lambda d: d.likelihood_state.capacity),
+    "likelihood_short_window": ("20", 20, lambda d: d.likelihood_state.short_window),
+}
+
+
+class TestHtmSettings:
+    def test_every_setting_has_a_case(self):
+        assert set(NON_DEFAULT) == set(_HTM_SETTINGS)
+
+    @pytest.mark.parametrize("key", sorted(NON_DEFAULT))
+    def test_setting_reaches_its_layer(self, key):
+        text, expected, shown = NON_DEFAULT[key]
+        default = shown(HtmDetector({"value_min": "-1", "value_max": "1"}))
+        assert default != expected
+        det = HtmDetector({"value_min": "-1", "value_max": "1", key: text})
+        assert shown(det) == expected and type(shown(det)) is type(expected)
+        assert det.sp.n_input == det.encoder_cfg.n_bits
+
+    def test_defaults(self):
+        # each layer's defaults written out, so that a changed default shows here
+        det = HtmDetector({})
+        det.calibrate([0.0, 1.0])
+        assert (det.encoder_cfg.n_bits, det.encoder_cfg.w_active) == (400, 21)
+        assert det.tm.state_dict()["params"] == {
+            "n_columns": 2048, "m_cells": 32, "activation_threshold": 13,
+            "connect_threshold": 0.5, "initial_permanence": 0.21,
+            "perm_inc": 0.1, "perm_dec": 0.1, "perm_punish": 0.01,
+            "sample_size": 20, "max_segments_per_cell": 128,
+            "max_synapses_per_segment": 40,
+        }
+        sp = det.sp
+        assert (sp.n_input, sp.n_columns, sp.k_active, sp.pool.shape[1]) == (400, 2048, 40, 200)
+        assert (sp.connect_threshold, sp.perm_inc, sp.perm_dec) == (0.5, 0.05, 0.008)
+        lk = det.likelihood_state
+        assert (lk.capacity, lk.short_window) == (1000, 10)
 
 
 class TestBuildDetector:

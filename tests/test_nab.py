@@ -20,7 +20,7 @@ from htmpm.nab import (LOW_FN, LOW_FP, PROFILES, STANDARD, AnomalyWindow,
                        sigma)
 
 T0 = datetime(2021, 1, 1)
-UNIT = ScoringProfile("unit", a_tp=1.0, a_fp=0.0, a_tn=0.0, a_fn=-1.0)
+UNIT = ScoringProfile("unit", a_tp=1.0, a_fp=0.0, a_fn=-1.0)
 
 
 def ts(minutes):
@@ -96,9 +96,9 @@ class TestTypes:
 
     def test_profile_weight_signs(self):
         with pytest.raises(ValidationError):
-            ScoringProfile("bad", a_tp=0.0, a_fp=-0.1, a_tn=0.0, a_fn=-1.0)
+            ScoringProfile("bad", a_tp=0.0, a_fp=-0.1, a_fn=-1.0)
         with pytest.raises(ValidationError):
-            ScoringProfile("bad", a_tp=1.0, a_fp=0.1, a_tn=0.0, a_fn=-1.0)
+            ScoringProfile("bad", a_tp=1.0, a_fp=0.1, a_fn=-1.0)
 
     def test_reference_profiles(self):
         assert STANDARD.a_fp == -0.11 and STANDARD.a_fn == -1.0

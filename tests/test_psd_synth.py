@@ -44,10 +44,6 @@ class TestSynthSpec:
         with pytest.raises(ValidationError):
             spec(taper="kaiser")
 
-    def test_ratio_clamp_must_exceed_one(self):
-        with pytest.raises(ValidationError):
-            spec(ratio_clamp=1.0)
-
     @pytest.mark.parametrize("kwargs", [
         dict(sample_rate=float("nan")), dict(sample_rate=float("inf")),
         dict(sample_rate=0.0), dict(bin_size=float("nan")),
@@ -119,7 +115,7 @@ class TestPsdMapScaling:
             1e3 * np.sin(2 * np.pi * 32 * t[L:]),
         ])
         target = np.sin(2 * np.pi * 32 * t)
-        out = psd_map(bearing, target, spec(ratio_clamp=10.0))
+        out = psd_map(bearing, target, spec())
         w_out, w_tgt = out[L:2 * L], target[L:2 * L]
         ratio = band_power(w_out, 28, 36) / band_power(w_tgt, 28, 36)
         assert ratio <= 100.0 * 1.01  # clamp of 10 on amplitude, 100 on power
@@ -154,7 +150,7 @@ class TestGenerateDegradation:
 
     def test_breakpoint_rms_matches_analytic_value(self):
         model = DegradationModel(baseline_sigma=0.1, fault_freqs=(10.0,),
-                                 growth=((10.0, 2.0),), initial_amplitude=1.0)
+                                 growth=((10.0, 2.0),))
         values, labels = generate_degradation(model, duration=20.0,
                                               sample_rate=200.0, seed=4)
         assert labels == [10.0]
