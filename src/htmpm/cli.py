@@ -5,7 +5,12 @@ through them and writes a score file whose rows are the series rows as
 read, each followed by ``,`` and its score; timestamps and values are not
 formatted again.
 
-Exit codes: 0 success, 1 validation error, 2 data error. The default
+Exit codes: 0 success, 1 validation error, 2 data error. A numeric flag
+is read as text and parsed where it is used, so a value that is not a
+number is a validation error with an ``error:`` line, as the same value
+in a config file is: ``run``'s ``--seed``, ``--train-fraction`` and
+``--subsample`` go into the entry map that ``RunConfig.from_entries``
+parses, and every other numeric flag is parsed in ``main``. The default
 config path can be set through the HTMPM_CONFIG environment variable.
 """
 
@@ -25,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, load_config
-from .detectors import DETECTOR_KINDS, run_file
+from .detectors import DETECTOR_KINDS, _integer, _number, run_file
 from .errors import DataError, HtmpmError, ValidationError
 from .nab import PROFILES, benchmark, make_windows
 from .psd_synth import DegradationModel, SynthSpec, generate_degradation, psd_map
@@ -233,33 +238,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--corpus")
     p_run.add_argument("--output")
     p_run.add_argument("--detector", choices=DETECTOR_KINDS)
-    p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--train-fraction", type=float)
-    p_run.add_argument("--subsample", type=int)
+    p_run.add_argument("--seed")
+    p_run.add_argument("--train-fraction")
+    p_run.add_argument("--subsample")
     p_run.add_argument("--param", action="append", default=[],
                        metavar="KEY=VALUE", help="detector parameter override")
-    p_run.add_argument("--workers", type=int, default=1)
+    p_run.add_argument("--workers", default=1)
 
     p_score = sub.add_parser("score", help="score a run against labels")
     p_score.add_argument("--scores", required=True)
     p_score.add_argument("--labels", required=True)
     p_score.add_argument("--output", required=True)
     p_score.add_argument("--profiles", default="standard,low_fp,low_fn")
-    p_score.add_argument("--budget", type=float, default=0.10)
+    p_score.add_argument("--budget", default=0.10)
     p_score.add_argument("--name", default="detector")
 
     p_synth = sub.add_parser("synth", help="generate or map synthetic data")
     p_synth.add_argument("--mode", choices=("generate", "map"), required=True)
     p_synth.add_argument("--output", required=True)
-    p_synth.add_argument("--files", type=int, default=10)
-    p_synth.add_argument("--duration", type=float, default=60.0)
-    p_synth.add_argument("--sample-rate", type=float, default=50.0)
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--files", default=10)
+    p_synth.add_argument("--duration", default=60.0)
+    p_synth.add_argument("--sample-rate", default=50.0)
+    p_synth.add_argument("--seed", default=0)
     p_synth.add_argument("--bearing")
     p_synth.add_argument("--target")
-    p_synth.add_argument("--window-len", type=int, default=256)
-    p_synth.add_argument("--hop", type=int)
-    p_synth.add_argument("--bin-size", type=float)
+    p_synth.add_argument("--window-len", default=256)
+    p_synth.add_argument("--hop")
+    p_synth.add_argument("--bin-size")
     p_synth.add_argument("--taper", default="hann")
 
     p_inspect = sub.add_parser("inspect", help="summarize a .json or .csv file")
@@ -284,26 +289,33 @@ def main(argv=None) -> int:
                 if not eq:
                     raise ValidationError(f"--param expects KEY=VALUE, got {pair!r}")
                 entries[f"detector.param.{key.strip()}"] = value.strip()
-            cmd_run(RunConfig.from_entries(entries), workers=args.workers)
+            workers = _integer("--workers", args.workers)
+            cmd_run(RunConfig.from_entries(entries), workers=workers)
         elif args.command == "score":
             profiles = [p.strip() for p in args.profiles.split(",") if p.strip()]
             cmd_score(args.scores, args.labels, profiles, args.output,
-                      window_budget=args.budget, detector_name=args.name)
+                      window_budget=_number("--budget", args.budget),
+                      detector_name=args.name)
         elif args.command == "synth":
+            files, seed = _integer("--files", args.files), _integer("--seed", args.seed)
+            duration = _number("--duration", args.duration)
+            sample_rate = _number("--sample-rate", args.sample_rate)
+            window_len = _integer("--window-len", args.window_len)
+            hop = None if args.hop is None else _integer("--hop", args.hop)
+            bin_size = None if args.bin_size is None else _number("--bin-size", args.bin_size)
             if args.mode == "generate":
-                cmd_synth_generate(args.output, args.files, args.duration,
-                                   args.sample_rate, args.seed)
+                cmd_synth_generate(args.output, files, duration, sample_rate, seed)
             else:
                 if not args.bearing or not args.target:
                     raise ValidationError("synth --mode map needs --bearing and --target")
                 # the default bin is the FFT resolution, derived only from a
                 # valid window: SynthSpec rejects a bad window before the bin
-                resolution = args.sample_rate / args.window_len if args.window_len > 0 else None
+                resolution = sample_rate / window_len if window_len > 0 else None
                 spec = SynthSpec(
-                    window_len=args.window_len,
-                    hop=args.hop or args.window_len // 2,
-                    bin_size=resolution if args.bin_size is None else args.bin_size,
-                    sample_rate=args.sample_rate,
+                    window_len=window_len,
+                    hop=hop or window_len // 2,
+                    bin_size=resolution if bin_size is None else bin_size,
+                    sample_rate=sample_rate,
                     taper=args.taper,
                 )
                 cmd_synth_map(args.bearing, args.target, args.output, spec)

@@ -9,10 +9,10 @@ Grammar, one entry per line:
 
 Keys are dotted paths. ``detector.param.*`` entries feed the detector's
 kind-specific parameter map; everything else is a top-level run setting.
-A value from the file or from ``--param`` stays text until it is parsed,
-once, where it is read: ``from_entries`` parses the top-level numbers,
-and the detector parses each of its parameters as the integer or number
-it takes.
+A value from the file, from a flag or from ``--param`` stays text until
+it is parsed, once, where it is read: ``from_entries`` parses the
+top-level numbers, and the detector parses each of its parameters as the
+integer or number it takes.
 
 ``htmpm run`` builds one entry map and hands it to ``from_entries``: the
 config file's entries, then the flags laid over them (``--corpus``,

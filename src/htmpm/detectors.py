@@ -56,6 +56,11 @@ class DetectorConfig:
             raise ValidationError(
                 f"unknown parameter(s) for {self.kind}: {sorted(unknown)}"
             )
+        # numpy's generators, which the seed reaches, take no negative seed
+        if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
+            raise ValidationError(f"seed must be an integer, got {self.seed!r}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 def _integer(key: str, value) -> int:

@@ -37,8 +37,26 @@ forgetting is slower than updating.
 
 The per-record cycle is fixed: activate from the previous step's
 predictions, then learn, then compute the new predictions. Every step
-learns. ``state_dict`` exports the learned segments in a canonical order;
-the package keeps no loader for it.
+learns.
+
+Predictions are memoized. The new active cells are fixed by the active
+columns and the predicted cells among them, so ``step`` keys a memo on
+those two arrays' bytes; an entry holds the predictive rows and their
+counts, read-only. The predict pass depends on nothing else but the
+connections: which live synapses sit at or above the connect threshold,
+onto which cells. Those change only where a stored float32 permanence
+crosses the threshold, so ``_rewired`` compares stored permanences
+before and after each change and clears the memo when one crossed:
+in ``_adjust`` (learning and synapse death), ``_grow`` (only when
+``initial_permanence`` is itself connected), ``create_segment`` with
+synapses, and ``destroy_segment``. A repeated input on a stable memory
+(the healthy stretch of a periodic signal) skips the predict pass; an
+input that never repeats misses, and pays for the lookup and the
+crossing tests. At most
+``MEMO_ENTRIES`` keys are kept, oldest dropped first.
+
+``state_dict`` exports the learned segments in a canonical order; the
+package keeps no loader for it.
 """
 
 from __future__ import annotations
@@ -46,7 +64,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .spatial_pooler import ColumnActivation
+from .spatial_pooler import MEMO_ENTRIES, ColumnActivation
 
 # htm.core's minThreshold: the fewest matching synapses that let a bursting
 # cell reuse a segment instead of growing a new one
@@ -120,6 +138,8 @@ class TemporalMemory:
         self._n_rows = 0               # high-water mark of allocated rows
         self._free_rows: list[int] = []
         self._step = 0
+        # (active columns, predicted cells) bytes -> predictive rows, counts
+        self._memo: dict[tuple[bytes, bytes], tuple] = {}
         # the smallest type that holds a segment's synapse count
         self._count_type = np.min_scalar_type(max_synapses_per_segment)
         self.reset()
@@ -146,16 +166,25 @@ class TemporalMemory:
         col_mask[columns] = True
         correct = col_mask[owners // m]  # predicted a cell of an active column
         predicted = owners[correct]
+        key = (columns.tobytes(), predicted.tobytes())
         col_mask[predicted // m] = False  # now: the active columns that burst
         bursting = columns[col_mask[columns]]
-        winners = self._predicted_winners(predicted, self._active_counts[rows[correct]])
+        winners = self._predicted_winners(predicted, self._active_counts[correct])
         burst_winners, matching_rows = self._burst_winners(bursting)
         self._learn(rows[correct], rows[~correct], burst_winners, matching_rows)
         self._active_arr[:] = False
         self._active_arr[predicted] = True
         self._active_arr[:-1].reshape(self.n_columns, m)[bursting] = True
         self._winners = np.sort(np.concatenate([winners, burst_winners]))
-        self._compute_predictive()
+        # looked up after learning, which clears the memo if it rewired
+        memo = self._memo.get(key)
+        if memo is None:
+            self._compute_predictive()
+            self._memo[key] = (self._active_rows, self._active_counts)
+            if len(self._memo) > MEMO_ENTRIES:
+                del self._memo[next(iter(self._memo))]
+        else:
+            self._active_rows, self._active_counts = memo
         return len(bursting) / len(columns) if len(columns) else 0.0
 
     def _predicted_winners(self, cells, strengths):
@@ -231,13 +260,16 @@ class TemporalMemory:
         """Add delta to the live synapses of rows (whose presyn is given),
         clipped to [0, 1]; synapses driven to zero are destroyed."""
         live = presyn != self._sentinel
-        updated = self.seg_perm[rows] + np.where(live, delta, 0.0)  # float64
+        before = self.seg_perm[rows]
+        updated = before + np.where(live, delta, 0.0)  # float64
         np.clip(updated, 0.0, 1.0, out=updated)
         dead = live & (updated <= 0.0)  # clipped to exactly 0.0
         if dead.any():
             presyn[dead] = self._sentinel
             self.seg_presyn[rows] = presyn
-        self.seg_perm[rows] = updated
+        stored = updated.astype(self.seg_perm.dtype)
+        self.seg_perm[rows] = stored
+        self._rewired(before, stored)
 
     def _grow(self, rows, winners):
         """Give each row synapses onto the sorted winner cells it lacks,
@@ -257,8 +289,12 @@ class TemporalMemory:
         # the t-th synapse a row gains goes into its t-th free slot
         free_slots = np.argsort(~free, axis=1, kind="stable")
         slots = free_slots[take_row, rank[take_row, take_winner]]
-        self.seg_presyn[rows[take_row], slots] = winners[take_winner]
-        self.seg_perm[rows[take_row], slots] = self.initial_permanence
+        targets = rows[take_row], slots
+        before = self.seg_perm[targets]
+        self.seg_presyn[targets] = winners[take_winner]
+        self.seg_perm[targets] = self.initial_permanence
+        if len(take_row):
+            self._rewired(before, self.seg_perm[targets])
 
     def _compute_predictive(self):
         """Eq.-(2) semantics over the current active cells. Strict '>':
@@ -271,8 +307,21 @@ class TemporalMemory:
         # times faster than count_nonzero; intp, because the predicted
         # winners sort on the negated counts
         counts = np.einsum("ij->i", act.view(np.uint8), dtype=self._count_type)
-        self._active_counts = counts.astype(np.intp)
-        self._active_rows = np.flatnonzero(self._active_counts > self.activation_threshold)
+        self._active_rows = (counts > self.activation_threshold).nonzero()[0]
+        # each predictive row's count, in the order of _active_rows
+        self._active_counts = counts[self._active_rows].astype(np.intp)
+        self._active_rows.setflags(write=False)
+        self._active_counts.setflags(write=False)
+
+    def _rewired(self, before, after) -> None:
+        """Forget the memoized predictions if a stored permanence moved
+        from ``before`` to ``after`` (arrays of one shape) across the
+        connect threshold: the one test of whether the connections
+        changed."""
+        threshold = self.connect_threshold
+        # comparing the masks' bytes costs half of a reduction over them
+        if (before >= threshold).tobytes() != (after >= threshold).tobytes():
+            self._memo.clear()
 
     # ------------------------------------------------------------------
     # segment bookkeeping
@@ -303,17 +352,21 @@ class TemporalMemory:
         if synapses:
             if len(synapses) > self.max_synapses_per_segment:
                 raise ValidationError("too many synapses for one segment")
+            before = self.seg_perm[row].copy()
             for i, (presyn, perm) in enumerate(sorted(synapses.items())):
                 self.seg_presyn[row, i] = presyn
                 self.seg_perm[row, i] = perm
+            self._rewired(before, self.seg_perm[row])
         return row
 
     def destroy_segment(self, row: int) -> None:
         if self.seg_cell[row] < 0:
             raise ValidationError(f"segment row {row} is not in use")
+        before = self.seg_perm[row].copy()
         self.seg_cell[row] = -1
         self.seg_presyn[row] = self._sentinel
         self.seg_perm[row] = 0.0
+        self._rewired(before, self.seg_perm[row])
         self._free_rows.append(row)
 
     def _grow_capacity(self):

@@ -275,6 +275,38 @@ class TestRunCommand:
         assert err.startswith("error: ") and entry.partition(" ")[0] in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag, key, value", [
+        ("--seed", "seed", "abc"), ("--train-fraction", "train_fraction", "x"),
+        ("--subsample", "subsample", "1.5"),
+    ])
+    def test_bad_flag_number_exits_1_as_in_a_config_file(
+            self, tmp_path, capsys, flag, key, value):
+        """A flag's value reaches the run configuration as text, as the
+        same entry of a config file does, and fails the same way."""
+        corpus, _ = make_corpus(tmp_path, n_files=1)
+        out = tmp_path / "out"
+        rc = main(["run", "--corpus", str(corpus), "--output", str(out),
+                   "--detector", "null", flag, value])
+        err = capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"corpus_dir = {corpus}\noutput_dir = {out}\n"
+                       f"detector.kind = null\n{key} = {value}\n")
+        assert main(["run", "--config", str(cfg)]) == rc == 1
+        assert capsys.readouterr().err == err
+        assert err.startswith("error: ") and key in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["x", "1.5"])
+    def test_non_integer_workers_exit_1(self, tmp_path, capsys, workers):
+        corpus, _ = make_corpus(tmp_path, n_files=1)
+        out = tmp_path / "out"
+        rc = main(["run", "--corpus", str(corpus), "--output", str(out),
+                   "--detector", "null", "--workers", workers])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: --workers must be an integer")
+        assert not out.exists()
+
 
 class TestRunEchoesSeriesRows:
     """A score row is its series row as read, then ``,`` and the score."""
@@ -361,6 +393,16 @@ class TestScoreCommand:
                    "--labels", str(labels),
                    "--output", str(tmp_path / "r"), "--profiles", "bogus"])
         assert rc == 1
+
+    def test_non_numeric_budget_exits_1(self, tmp_path, capsys):
+        corpus, labels = make_corpus(tmp_path)
+        scores_dir = tmp_path / "scores"
+        main(["run", "--corpus", str(corpus), "--output", str(scores_dir),
+              "--detector", "null"])
+        rc = main(["score", "--scores", str(scores_dir), "--labels", str(labels),
+                   "--output", str(tmp_path / "r"), "--budget", "x"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: --budget must be")
 
     @pytest.mark.parametrize("make_dir", [False, True], ids=["missing", "empty"])
     def test_no_score_files_exit_2(self, tmp_path, capsys, make_dir):
@@ -554,6 +596,23 @@ class TestSynthCommand:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode, flag, value", [
+        ("generate", "--files", "1.5"), ("generate", "--seed", "x"),
+        ("generate", "--duration", "x"), ("generate", "--sample-rate", "fast"),
+        ("map", "--window-len", "x"), ("map", "--hop", "2.5"),
+        ("map", "--bin-size", "x"),
+    ])
+    def test_non_numeric_flag_exits_1(self, tmp_path, capsys, mode, flag, value):
+        series = tmp_path / "series.csv"
+        write_series(series, [(T0 + timedelta(seconds=i), float(i % 7)) for i in range(600)])
+        out = tmp_path / "out"
+        rc = main(["synth", "--mode", mode, "--bearing", str(series),
+                   "--target", str(series), "--output", str(out), flag, value])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {flag} must be") and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("args", [

@@ -3,6 +3,7 @@
 import math
 from datetime import datetime, timedelta
 
+import numpy as np
 import pytest
 
 from htmpm.detectors import (_HTM_SETTINGS, DetectorConfig, HtmDetector,
@@ -32,6 +33,16 @@ class TestDetectorConfig:
             DetectorConfig("htm_hd", {"boost": 2.0})
         with pytest.raises(ValidationError):  # removed: it never did anything
             DetectorConfig("htm_hd", {"likelihood_warm_start": True})
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True, None])
+    def test_bad_seed_rejected(self, seed):
+        """Refused before numpy's generators see it, which would raise a
+        bare ValueError on a negative seed."""
+        with pytest.raises(ValidationError, match="seed must be"):
+            DetectorConfig("htm_hd", {}, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        build_detector(DetectorConfig("htm_hd", {}, seed=np.int64(3)))
 
     def test_known_parameters_accepted(self):
         DetectorConfig("windowed_gaussian", {"window": 100})
