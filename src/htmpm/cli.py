@@ -3,7 +3,14 @@
 ``run`` reads each series file into columns, steps a fresh detector
 through them and writes a score file whose rows are the series rows as
 read, each followed by ``,`` and its score; timestamps and values are not
-formatted again.
+formatted again. It holds one file in memory per process: each score file
+is written as soon as it is scored, into a hidden ``.htmpm-run-*`` staging
+directory made inside the output directory when that exists, else in its
+nearest existing ancestor. Once every file is scored, the output
+directory is made, the files are moved into it by renames and
+``manifest.json`` is written; a refused run removes the staging
+directory, so it leaves nothing. A process killed mid-run can leave a
+``.htmpm-run-*`` directory behind.
 
 Exit codes: 0 success, 1 validation error, 2 data error. A numeric flag
 is read as text and parsed where it is used, so a value that is not a
@@ -19,8 +26,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import multiprocessing
 import os
+import shutil
 import sys
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timedelta
@@ -50,46 +60,72 @@ def _config_hash(cfg: RunConfig) -> str:
 
 
 def _run_one(args):
-    cfg, path = args
+    """Score one series file into the staging directory; only the file's
+    name, record count and scoring time go back to the caller."""
+    cfg, path, staging = args
     records = read_series(path)
     if cfg.subsample > 1:
         records = records[::cfg.subsample]
     started = time.perf_counter()
     scores = run_file(cfg.detector, records, cfg.train_fraction)
     elapsed = time.perf_counter() - started
-    return path.name, records, scores, elapsed
+    write_scores(staging / path.name, records, scores)
+    return path.name, len(records), elapsed
+
+
+def _staging_dir(output_dir: Path) -> Path:
+    """A hidden directory on the output's file system, inside the output
+    directory when it exists, else in its nearest existing ancestor, so
+    that each score file moves in by a rename."""
+    parent = next(p for p in (output_dir, *output_dir.parents) if p.exists())
+    try:
+        return Path(tempfile.mkdtemp(prefix=".htmpm-run-", dir=parent))
+    except OSError as exc:
+        raise DataError(f"{output_dir}: cannot write: {exc.strerror or exc}") from None
 
 
 def cmd_run(cfg: RunConfig, workers: int = 1) -> Path:
+    """Score every series of the corpus into ``cfg.output_dir``, staged as
+    the module docstring describes."""
     if workers < 1:
         raise ValidationError(f"--workers must be at least 1, got {workers}")
     files = sorted(cfg.corpus_dir.glob("*.csv"))
     if not files:
         raise DataError(f"no .csv series in {cfg.corpus_dir}")
-    jobs = [(cfg, path) for path in files]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_one, jobs))
-    else:
-        outcomes = [_run_one(job) for job in jobs]
-    # made only once every file is scored, so a refused run leaves nothing
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    staging = _staging_dir(cfg.output_dir)
+    try:
+        jobs = [(cfg, path, staging) for path in files]
+        if workers > 1:
+            # spawned, not forked: numpy's BLAS threads make this process
+            # multi-threaded, and Python 3.12+ deprecates fork() there
+            spawn = multiprocessing.get_context("spawn")
+            with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
+                try:
+                    outcomes = list(pool.map(_run_one, jobs))
+                except BaseException:
+                    pool.shutdown(cancel_futures=True)
+                    raise
+        else:
+            outcomes = [_run_one(job) for job in jobs]
+        cfg.output_dir.mkdir(parents=True, exist_ok=True)
+        for name, _, _ in outcomes:
+            os.replace(staging / name, cfg.output_dir / name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     manifest = {
         "config_hash": _config_hash(cfg),
         "seed": cfg.seed,
         "detector": cfg.detector.kind,
         "package_version": __version__,
         "train_fraction": cfg.train_fraction,
-        "files": {},
+        "files": {
+            name: {
+                "records": records,
+                "runtime_seconds": round(elapsed, 6),
+                "records_per_second": round(records / elapsed, 1) if elapsed else None,
+            } for name, records, elapsed in outcomes
+        },
     }
-    # single deterministic writer, file-name order
-    for name, records, scores, elapsed in sorted(outcomes):
-        write_scores(cfg.output_dir / name, records, scores)
-        manifest["files"][name] = {
-            "records": len(records),
-            "runtime_seconds": round(elapsed, 6),
-            "records_per_second": round(len(records) / elapsed, 1) if elapsed else None,
-        }
     (cfg.output_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     return cfg.output_dir
 

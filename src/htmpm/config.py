@@ -25,6 +25,7 @@ value), then each ``--param KEY=VALUE`` laid over them as
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -73,8 +74,14 @@ class RunConfig:
             )
         if self.subsample < 1:
             raise ValidationError("subsample step must be >= 1")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        # the manifest records and hashes this seed, the detector runs with
+        # its own (which DetectorConfig checks): they must be the same integer
+        if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
+            raise ValidationError(f"seed must be an integer, got {self.seed!r}")
+        if self.seed != self.detector.seed:
+            raise ValidationError(
+                f"seed {self.seed} differs from the detector's seed {self.detector.seed}"
+            )
 
     @classmethod
     def from_entries(cls, entries: dict[str, str]) -> "RunConfig":

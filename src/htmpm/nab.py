@@ -186,6 +186,7 @@ class _Sweep:
     def __init__(self, corpus: _Corpus, scores: np.ndarray):
         tp = corpus.window >= 0
         order = np.lexsort((np.where(tp, corpus.times, 0), tp, -scores))
+        del tp
         window = corpus.window[order]
         det = np.flatnonzero(window >= 0)
         det = det[np.argsort(window[det], kind="stable")]
@@ -196,10 +197,13 @@ class _Sweep:
         earliest = np.ones(len(det), dtype=bool)
         earliest[1:] = key[1:] < np.minimum.accumulate(key)[:-1]
         det, w = det[earliest], w[earliest]
+        del key, earliest
         keep = window < 0
+        del window
         keep[det] = True
         kept = np.cumsum(keep) - 1
         self.detections = kept[det]
+        del kept
         self.previous = np.full(len(det), -1)
         same = np.flatnonzero(w[1:] == w[:-1])
         self.previous[same + 1] = self.detections[same]
@@ -232,13 +236,13 @@ def _columns(output) -> tuple[np.ndarray, np.ndarray]:
     return _micros([t for t, _ in output]), np.array([s for _, s in output], dtype=float)
 
 
-def _sweep_outputs(outputs: dict, windows_by_file) -> tuple[_Corpus, _Sweep]:
+def _classify(outputs: dict, windows_by_file) -> tuple[_Corpus, np.ndarray]:
+    """The corpus of ``outputs`` and their scores, concatenated in its order."""
     if not outputs:
         raise ValidationError("empty corpus")
     columns = {name: _columns(output) for name, output in outputs.items()}
     corpus = _Corpus({name: times for name, (times, _) in columns.items()}, windows_by_file)
-    scores = np.concatenate([scores for _, scores in columns.values()])
-    return corpus, _Sweep(corpus, scores)
+    return corpus, np.concatenate([scores for _, scores in columns.values()])
 
 
 def optimize_threshold(outputs: dict[str, list], windows_by_file: dict[str, list[AnomalyWindow]],
@@ -247,7 +251,7 @@ def optimize_threshold(outputs: dict[str, list], windows_by_file: dict[str, list
     and return (threshold, raw score) maximizing the summed score; ties go
     to the highest threshold. Equivalent to re-scoring the corpus at every
     candidate, but linear in the number of records after one sort."""
-    return _sweep_outputs(outputs, windows_by_file)[1].best(profile)
+    return _Sweep(*_classify(outputs, windows_by_file)).best(profile)
 
 
 def normalize(raw: float, null_raw: float, perfect_raw: float) -> float:
@@ -275,6 +279,12 @@ def null_outputs(timestamps_by_file: dict[str, list[datetime]]) -> dict[str, lis
     return {name: [(t, _NULL_SCORE) for t in ts] for name, ts in timestamps_by_file.items()}
 
 
+def _best_per_profile(corpus: _Corpus, scores: np.ndarray, profiles) -> list:
+    """One stream's ``_Sweep.best`` for each profile, from one sweep."""
+    sweep = _Sweep(corpus, scores)
+    return [sweep.best(profile) for profile in profiles]
+
+
 def benchmark(detector_name: str, outputs: dict,
               windows_by_file: dict[str, list[AnomalyWindow]],
               profiles) -> list[BenchmarkResult]:
@@ -286,19 +296,21 @@ def benchmark(detector_name: str, outputs: dict,
     tuple of int64 microsecond and float64 columns, as ``read_scores``
     gives, or a list of (datetime, score) pairs, as ``oracle_outputs`` and
     ``null_outputs`` give."""
-    corpus, detector = _sweep_outputs(outputs, windows_by_file)
-    null = _Sweep(corpus, np.full(len(corpus.window), _NULL_SCORE))
-    oracle = _Sweep(corpus, corpus.oracle_scores())
-    results = []
-    for profile in profiles:
-        threshold, raw = detector.best(profile)
-        _, null_raw = null.best(profile)
-        _, perfect_raw = oracle.best(profile)
-        results.append(BenchmarkResult(
+    profiles = list(profiles)
+    corpus, scores = _classify(outputs, windows_by_file)
+    # one sweep alive at a time: each is dropped before the next is built
+    detector = _best_per_profile(corpus, scores, profiles)
+    del scores
+    null = _best_per_profile(corpus, np.full(len(corpus.window), _NULL_SCORE), profiles)
+    oracle = _best_per_profile(corpus, corpus.oracle_scores(), profiles)
+    return [
+        BenchmarkResult(
             detector=detector_name,
             profile=profile.name,
             raw_score=raw,
             normalized_score=normalize(raw, null_raw, perfect_raw),
             optimized_threshold=threshold,
-        ))
-    return results
+        )
+        for profile, (threshold, raw), (_, null_raw), (_, perfect_raw)
+        in zip(profiles, detector, null, oracle)
+    ]

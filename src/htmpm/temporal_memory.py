@@ -335,6 +335,16 @@ class TemporalMemory:
         one (ties to the lowest row) when the per-cell cap is reached.
         Returns the segment's row id. Also used to implant segments in
         tests."""
+        if not 0 <= cell < self.n_cells:
+            raise ValidationError(f"cell {cell} outside [0, {self.n_cells})")
+        if synapses:
+            if len(synapses) > self.max_synapses_per_segment:
+                raise ValidationError("too many synapses for one segment")
+            outside = sorted(p for p in synapses if not 0 <= p < self.n_cells)
+            if outside:
+                raise ValidationError(
+                    f"presynaptic cell(s) {outside} outside [0, {self.n_cells})"
+                )
         rows = self.segments_of(cell)
         if len(rows) >= self.max_segments_per_cell:
             self.destroy_segment(rows[int(np.argmin(self.seg_last_used[rows]))])
@@ -350,8 +360,6 @@ class TemporalMemory:
         self.seg_cell[row] = cell
         self.seg_last_used[row] = self._step
         if synapses:
-            if len(synapses) > self.max_synapses_per_segment:
-                raise ValidationError("too many synapses for one segment")
             before = self.seg_perm[row].copy()
             for i, (presyn, perm) in enumerate(sorted(synapses.items())):
                 self.seg_presyn[row, i] = presyn

@@ -2,13 +2,15 @@
 
 import json
 import pickle
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
 import numpy as np
 
-from htmpm.cli import _sample_times, cmd_synth_generate, main
+from htmpm.cli import _sample_times, cmd_run, cmd_synth_generate, main
+from htmpm.config import RunConfig
 from htmpm.series import (read_scores, read_series, write_labels,
                           write_scores, write_series)
 
@@ -131,8 +133,92 @@ class TestRunCommand:
         args = ["--corpus", str(corpus), "--detector", "random", "--seed", "3"]
         main(["run", *args, "--output", str(serial)])
         main(["run", *args, "--output", str(parallel), "--workers", "2"])
+        serial_files = json.loads((serial / "manifest.json").read_text())["files"]
+        parallel_files = json.loads((parallel / "manifest.json").read_text())["files"]
+        assert list(serial_files) == list(parallel_files) == ["series_0.csv", "series_1.csv"]
         for name in ("series_0.csv", "series_1.csv"):
             assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+            assert serial_files[name]["records"] == parallel_files[name]["records"] == 60
+
+    @staticmethod
+    def staging_dirs(root):
+        return sorted(root.rglob(".htmpm-run-*"))
+
+    def test_run_leaves_no_staging_directory(self, tmp_path):
+        corpus, _ = make_corpus(tmp_path)
+        out = tmp_path / "new" / "scores"
+        for _ in range(2):  # into a path that does not exist, then into it again
+            assert main(["run", "--corpus", str(corpus), "--output", str(out),
+                         "--detector", "null"]) == 0
+            assert sorted(p.name for p in out.iterdir()) == [
+                "manifest.json", "series_0.csv", "series_1.csv"]
+        assert self.staging_dirs(tmp_path) == []
+
+    @staticmethod
+    def corrupt_second_of_three(root):
+        corpus, _ = make_corpus(root, n_files=3)
+        path = corpus / "series_1.csv"
+        lines = path.read_text().splitlines()
+        lines[5] = lines[5].split(",")[0] + ",abc"
+        path.write_text("\n".join(lines) + "\n")
+        return corpus
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("output", ["out", "nested/a/scores"])
+    def test_refused_run_leaves_nothing(self, tmp_path, capsys, workers, output):
+        corpus = self.corrupt_second_of_three(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        rc = main(["run", "--corpus", str(corpus), "--output", str(tmp_path / output),
+                   "--detector", "null", "--workers", workers])
+        assert rc == 2
+        assert "series_1.csv" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert self.staging_dirs(tmp_path) == []
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_refused_run_keeps_existing_output_directory(self, tmp_path, workers):
+        corpus = self.corrupt_second_of_three(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("keep me\n")
+        (out / "series_2.csv").write_text("an older score file\n")
+        rc = main(["run", "--corpus", str(corpus), "--output", str(out),
+                   "--detector", "null", "--workers", workers])
+        assert rc == 2
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "series_2.csv"]
+        assert (out / "notes.txt").read_text() == "keep me\n"
+        assert (out / "series_2.csv").read_text() == "an older score file\n"
+        assert self.staging_dirs(tmp_path) == []
+
+    @pytest.mark.parametrize("output", ["file.txt", "file.txt/scores"])
+    def test_output_under_a_file_exits_2(self, tmp_path, capsys, output):
+        corpus, _ = make_corpus(tmp_path)
+        (tmp_path / "file.txt").write_text("x\n")
+        rc = main(["run", "--corpus", str(corpus), "--output", str(tmp_path / output),
+                   "--detector", "null"])
+        assert rc == 2
+        assert "cannot write" in capsys.readouterr().err
+        assert (tmp_path / "file.txt").read_text() == "x\n"
+        assert self.staging_dirs(tmp_path) == []
+
+    def test_run_memory_does_not_grow_with_the_corpus(self, tmp_path):
+        # each score file is written as soon as it is scored, so the peak
+        # is one file's, however many files the corpus holds
+        peaks = {}
+        for n_files in (2, 8):
+            corpus = tmp_path / f"corpus{n_files}"
+            cmd_synth_generate(corpus, n_files, duration=40.0, sample_rate=50.0, seed=5)
+            cfg = RunConfig.from_entries({
+                "corpus_dir": str(corpus), "output_dir": str(tmp_path / f"out{n_files}"),
+                "detector.kind": "null"})
+            tracemalloc.start()
+            try:
+                cmd_run(cfg)
+                peaks[n_files] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(read_scores(tmp_path / f"out{n_files}" / "degradation_00.csv")) == 2000
+        assert peaks[8] <= 1.25 * peaks[2], peaks
 
     def test_bad_header_exits_2(self, tmp_path):
         corpus = tmp_path / "corpus"

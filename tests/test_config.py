@@ -1,9 +1,12 @@
 """Key-value config grammar and run-configuration assembly."""
 
+from pathlib import Path
+
 import pytest
 
 from htmpm.cli import main
 from htmpm.config import RunConfig, load_config, parse_config_text
+from htmpm.detectors import DetectorConfig
 from htmpm.errors import ValidationError
 
 
@@ -95,6 +98,18 @@ class TestRunConfig:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed must be >= 0"):
             RunConfig.from_entries({**self.base_entries(), "seed": "-1"})
+
+    @pytest.mark.parametrize("seed", [1.0, True, "1", None])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            RunConfig(Path("c"), Path("o"), DetectorConfig("random", {}, seed=1), seed=seed)
+
+    def test_seed_must_match_the_detectors(self):
+        # the manifest would record and hash one seed while the detector ran another
+        with pytest.raises(ValidationError, match="seed 1 differs from the detector's seed 2"):
+            RunConfig(Path("c"), Path("o"), DetectorConfig("random", {}, seed=2), seed=1)
+        cfg = RunConfig(Path("c"), Path("o"), DetectorConfig("random", {}, seed=2), seed=2)
+        assert cfg.seed == cfg.detector.seed == 2
 
     def test_scoring_keys_rejected(self, tmp_path, capsys):
         # labels and profiles belong to `score` (--labels, --profiles)

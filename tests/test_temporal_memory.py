@@ -276,6 +276,29 @@ class TestSegmentBookkeeping:
         tm = flat_tm(max_synapses_per_segment=2)
         with pytest.raises(ValidationError):
             tm.create_segment(0, {1: 0.5, 2: 0.5, 3: 0.5})
+        assert (tm.segment_count(), tm._n_rows, tm._free_rows) == (0, 0, [])
+
+    @pytest.mark.parametrize("cell", [-1, 4])
+    def test_owner_outside_cells_rejected(self, cell):
+        tm = flat_tm()
+        with pytest.raises(ValidationError, match=rf"cell {cell} outside \[0, 4\)"):
+            tm.create_segment(cell, {1: 0.6})
+        # no row was taken: neither live nor free
+        assert (tm.segment_count(), tm._n_rows, tm._free_rows) == (0, 0, [])
+
+    @pytest.mark.parametrize("presyn", [-2, -1, 4])
+    def test_presynaptic_cell_outside_cells_rejected(self, presyn):
+        tm = flat_tm()
+        with pytest.raises(ValidationError, match=rf"\[{presyn}\] outside \[0, 4\)"):
+            tm.create_segment(0, {1: 0.6, presyn: 0.6})
+        assert (tm.segment_count(), tm._n_rows, tm._free_rows) == (0, 0, [])
+
+    def test_refused_segment_evicts_nothing(self):
+        tm = flat_tm(max_segments_per_cell=1)
+        row = tm.create_segment(0, {1: 0.6})
+        with pytest.raises(ValidationError):
+            tm.create_segment(0, {-2: 0.6})
+        assert tm.segments_of(0) == [row] and tm.synapses_of(row) == {1: pytest.approx(0.6)}
 
 
 def random_tm(seed):
