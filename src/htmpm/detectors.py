@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import numbers
 import random
+from collections import deque
 from dataclasses import dataclass, field
 
 from .anomaly import LikelihoodState, update_likelihood
@@ -157,7 +158,7 @@ class ThresholdDetector:
         self.feature = feature
         self.rms_window = _integer("rms_window", rms_window)
         self.calibration_sigmas = _number("calibration_sigmas", calibration_sigmas)
-        self._recent: list[float] = []
+        self._recent: deque[float] = deque()
 
     def calibrate(self, values):
         if self.threshold is not None:
@@ -175,7 +176,7 @@ class ThresholdDetector:
             return abs(value)
         self._recent.append(value * value)
         if len(self._recent) > self.rms_window:
-            self._recent.pop(0)
+            self._recent.popleft()
         return math.sqrt(sum(self._recent) / len(self._recent))
 
     def step(self, timestamp, value) -> float:
@@ -193,7 +194,7 @@ class WindowedGaussianDetector:
         if window < 2:
             raise ValidationError("window must hold at least 2 values")
         self.window = window
-        self._values: list[float] = []
+        self._values: deque[float] = deque()
         self._sum = 0.0
         self._sumsq = 0.0
 
@@ -214,7 +215,7 @@ class WindowedGaussianDetector:
         self._sum += value
         self._sumsq += value * value
         if len(self._values) > self.window:
-            old = self._values.pop(0)
+            old = self._values.popleft()
             self._sum -= old
             self._sumsq -= old * old
         return score

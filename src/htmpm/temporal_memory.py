@@ -3,13 +3,15 @@
 Cells are addressed flat as ``column * m_cells + i``. Distal segments live
 in flat numpy arrays (one row per segment, fixed synapse width, padded with
 a sentinel cell id) so the per-record predict and learning passes are
-vectorized. ``seg_cell`` is the only record of which cell owns a segment
-(-1 marks a free row): a cell's segments are its rows in row order, so
-every tie among one cell's segments (best matching segment, least
-recently used victim) goes to the lowest row. Cell activity is held only
-in arrays: a mask of active cells, the sorted winner cells, and the
-predictive segment rows with their synapse counts; the cell and column
-sets the queries return are derived from them.
+vectorized. Every allocated row has an owner, and ``seg_cell`` is the only
+record of it: a cell's segments are its rows in row order, so every tie
+among one cell's segments (best matching segment, least recently used
+victim) goes to the lowest row. A cell at ``max_segments_per_cell``
+replaces its least recently used segment in place, so no row is ever
+freed. Cell activity is held only in arrays: a mask of active cells, the
+sorted winner cells, and the predictive segment rows with their synapse
+counts; the cell and column sets the queries return are derived from
+them.
 
 A cell becomes predictive when at least one of its segments has strictly
 more than ``activation_threshold`` established synapses onto currently
@@ -46,20 +48,23 @@ counts, read-only. The predict pass depends on nothing else but the
 connections: which live synapses sit at or above the connect threshold,
 onto which cells. Those change only where a stored float32 permanence
 crosses the threshold, so ``_rewired`` compares stored permanences
-before and after each change and clears the memo when one crossed:
-in ``_adjust`` (learning and synapse death), ``_grow`` (only when
-``initial_permanence`` is itself connected), ``create_segment`` with
-synapses, and ``destroy_segment``. A repeated input on a stable memory
-(the healthy stretch of a periodic signal) skips the predict pass; an
-input that never repeats misses, and pays for the lookup and the
-crossing tests. At most
-``MEMO_ENTRIES`` keys are kept, oldest dropped first.
+before and after each learning change and clears the memo when one
+crossed: in ``_adjust`` (learning and synapse death) and ``_grow`` (only
+when ``initial_permanence`` is itself connected). ``create_segment`` clears
+it when the segment it replaces has an established synapse (no memoized
+predictive row lacks one), and outright when it implants synapses. A
+repeated input on a stable memory (the healthy stretch of a periodic
+signal) skips the predict pass; an input that never repeats misses, and
+pays for the lookup and the crossing tests. At most ``MEMO_ENTRIES`` keys
+are kept, oldest dropped first.
 
 ``state_dict`` exports the learned segments in a canonical order; the
 package keeps no loader for it.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -69,6 +74,11 @@ from .spatial_pooler import MEMO_ENTRIES, ColumnActivation
 # htm.core's minThreshold: the fewest matching synapses that let a bursting
 # cell reuse a segment instead of growing a new one
 MIN_MATCH = 10
+
+
+def _is_cell(value, n_cells: int) -> bool:
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and 0 <= value < n_cells)
 
 
 class TemporalMemory:
@@ -130,13 +140,11 @@ class TemporalMemory:
         self._sentinel = self.n_cells  # padding presyn id, never active
         cap = 256
         # intp, so that gathers through the cell masks need no index cast
-        self.seg_presyn = np.full((cap, max_synapses_per_segment),
-                                  self._sentinel, dtype=np.intp)
+        self.seg_presyn = np.zeros((cap, max_synapses_per_segment), dtype=np.intp)
         self.seg_perm = np.zeros((cap, max_synapses_per_segment), dtype=np.float32)
-        self.seg_cell = np.full(cap, -1, dtype=np.int32)  # owner cell, -1 = free row
+        self.seg_cell = np.zeros(cap, dtype=np.int32)  # owner cell
         self.seg_last_used = np.zeros(cap, dtype=np.int64)
-        self._n_rows = 0               # high-water mark of allocated rows
-        self._free_rows: list[int] = []
+        self._n_rows = 0  # rows 0 .. _n_rows - 1 are allocated, each owned
         self._step = 0
         # (active columns, predicted cells) bytes -> predictive rows, counts
         self._memo: dict[tuple[bytes, bytes], tuple] = {}
@@ -160,9 +168,7 @@ class TemporalMemory:
         columns = np.asarray(cols.active_columns, dtype=np.intp)
         rows = self._active_rows  # the previous step's predictive segments
         owners = self.seg_cell[rows]
-        # a mask over columns, plus a spare last entry that stays False for
-        # the column -1 that a free row's owner -1 maps to
-        col_mask = np.zeros(self.n_columns + 1, dtype=bool)
+        col_mask = np.zeros(self.n_columns, dtype=bool)
         col_mask[columns] = True
         correct = col_mask[owners // m]  # predicted a cell of an active column
         predicted = owners[correct]
@@ -208,7 +214,7 @@ class TemporalMemory:
         if not len(bursting):
             return bursting, bursting  # no winners, no matching rows
         m = self.m_cells
-        slot = np.full(self.n_columns + 1, -1)  # bursting column -> table row
+        slot = np.full(self.n_columns, -1)  # bursting column -> table row
         slot[bursting] = np.arange(len(bursting))
         owners = self.seg_cell[:self._n_rows]
         rows = np.flatnonzero(slot[owners // m] >= 0)
@@ -247,7 +253,7 @@ class TemporalMemory:
             reinforce = np.concatenate([correct_rows, grow])
             growing = np.concatenate([grow, new])
         self.seg_last_used[reinforce] = self._step
-        # gathered after create_segment, which may have evicted and reused rows
+        # gathered after create_segment, which may have replaced segments
         rows = np.concatenate([reinforce, wrong_rows])
         presyn = self.seg_presyn[rows]
         delta = np.where(self._active_arr[presyn], self.perm_inc, -self.perm_dec)
@@ -331,25 +337,32 @@ class TemporalMemory:
         return np.flatnonzero(self.seg_cell[:self._n_rows] == cell).tolist()
 
     def create_segment(self, cell: int, synapses: dict[int, float] | None = None) -> int:
-        """Attach a new segment to a cell, evicting the least recently used
-        one (ties to the lowest row) when the per-cell cap is reached.
-        Returns the segment's row id. Also used to implant segments in
-        tests."""
-        if not 0 <= cell < self.n_cells:
-            raise ValidationError(f"cell {cell} outside [0, {self.n_cells})")
+        """Attach a new segment to a cell. At the per-cell cap the new
+        segment replaces the cell's least recently used one (ties to the
+        lowest row) in its row. Returns the segment's row id. Also used to
+        implant segments in tests."""
+        if not _is_cell(cell, self.n_cells):
+            raise ValidationError(f"cell {cell!r} outside [0, {self.n_cells}) "
+                                  "or not an integer")
         if synapses:
             if len(synapses) > self.max_synapses_per_segment:
                 raise ValidationError("too many synapses for one segment")
-            outside = sorted(p for p in synapses if not 0 <= p < self.n_cells)
+            outside = [p for p in synapses if not _is_cell(p, self.n_cells)]
             if outside:
-                raise ValidationError(
-                    f"presynaptic cell(s) {outside} outside [0, {self.n_cells})"
-                )
+                raise ValidationError(f"presynaptic cell(s) {outside} outside "
+                                      f"[0, {self.n_cells}) or not integers")
+            # a bool, nan or infinity is no permanence
+            invalid = [q for q in synapses.values()
+                       if isinstance(q, bool) or not isinstance(q, numbers.Real)
+                       or not 0.0 <= q <= 1.0]
+            if invalid:
+                raise ValidationError(f"permanence(s) {invalid} outside [0, 1]")
         rows = self.segments_of(cell)
         if len(rows) >= self.max_segments_per_cell:
-            self.destroy_segment(rows[int(np.argmin(self.seg_last_used[rows]))])
-        if self._free_rows:
-            row = self._free_rows.pop()
+            row = rows[int(np.argmin(self.seg_last_used[rows]))]
+            # a memoized predictive row always has an established synapse
+            if (self.seg_perm[row] >= self.connect_threshold).any():
+                self._memo.clear()
         else:
             if self._n_rows == len(self.seg_cell):
                 self._grow_capacity()
@@ -360,36 +373,19 @@ class TemporalMemory:
         self.seg_cell[row] = cell
         self.seg_last_used[row] = self._step
         if synapses:
-            before = self.seg_perm[row].copy()
             for i, (presyn, perm) in enumerate(sorted(synapses.items())):
                 self.seg_presyn[row, i] = presyn
                 self.seg_perm[row, i] = perm
-            self._rewired(before, self.seg_perm[row])
+            self._memo.clear()
         return row
 
-    def destroy_segment(self, row: int) -> None:
-        if self.seg_cell[row] < 0:
-            raise ValidationError(f"segment row {row} is not in use")
-        before = self.seg_perm[row].copy()
-        self.seg_cell[row] = -1
-        self.seg_presyn[row] = self._sentinel
-        self.seg_perm[row] = 0.0
-        self._rewired(before, self.seg_perm[row])
-        self._free_rows.append(row)
-
     def _grow_capacity(self):
-        cap = len(self.seg_cell)
-        pad = cap
-        self.seg_presyn = np.vstack([
-            self.seg_presyn,
-            np.full((pad, self.max_synapses_per_segment), self._sentinel, dtype=np.intp),
-        ])
-        self.seg_perm = np.vstack([
-            self.seg_perm,
-            np.zeros((pad, self.max_synapses_per_segment), dtype=np.float32),
-        ])
-        self.seg_cell = np.concatenate([self.seg_cell, np.full(pad, -1, dtype=np.int32)])
-        self.seg_last_used = np.concatenate([self.seg_last_used, np.zeros(pad, dtype=np.int64)])
+        """Double the row capacity. Rows from _n_rows on are never read:
+        create_segment writes every field of a row it takes."""
+        # one array at a time, so that one old array at most outlives its copy
+        for name in ("seg_presyn", "seg_perm", "seg_cell", "seg_last_used"):
+            rows = getattr(self, name)
+            setattr(self, name, np.concatenate([rows, np.zeros_like(rows)]))
 
     def synapses_of(self, row: int) -> dict[int, float]:
         """Live synapses of one segment as {presynaptic cell: permanence}."""
@@ -404,9 +400,8 @@ class TemporalMemory:
     # queries
 
     def _predictive(self) -> np.ndarray:
-        """Owners of the predictive segments; a row freed since is skipped."""
-        cells = self.seg_cell[self._active_rows]
-        return cells[cells >= 0]
+        """Owners of the predictive segments."""
+        return self.seg_cell[self._active_rows]
 
     @property
     def active_cells(self) -> set[int]:
@@ -425,7 +420,7 @@ class TemporalMemory:
         return set((self._predictive() // self.m_cells).tolist())
 
     def segment_count(self) -> int:
-        return int(np.count_nonzero(self.seg_cell[:self._n_rows] >= 0))
+        return self._n_rows
 
     def reset(self) -> None:
         """Sequence boundary: clear activity but keep everything learned."""
@@ -438,7 +433,7 @@ class TemporalMemory:
     # serialization
 
     def state_dict(self) -> dict:
-        live = np.flatnonzero(self.seg_cell[:self._n_rows] >= 0)
+        owners = self.seg_cell[:self._n_rows]
         return {
             "params": {
                 "n_columns": self.n_columns,
@@ -454,7 +449,7 @@ class TemporalMemory:
                 "max_synapses_per_segment": self.max_synapses_per_segment,
             },
             "segments": [
-                [int(self.seg_cell[row]), sorted(self.synapses_of(row).items())]
-                for row in live[np.argsort(self.seg_cell[live], kind="stable")]
+                [int(owners[row]), sorted(self.synapses_of(row).items())]
+                for row in np.argsort(owners, kind="stable")
             ],
         }

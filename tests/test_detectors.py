@@ -123,11 +123,16 @@ class TestWindowedGaussian:
             det.step(t, v)
         assert det.step(T0 + timedelta(days=1), 0.5) < 0.1
 
-    def test_score_matches_two_sided_tail(self):
-        det = WindowedGaussianDetector(window=10)
-        vals = [1.0, 3.0, 5.0, 7.0]
+    @pytest.mark.parametrize("window, vals", [
+        (10, [1.0, 3.0, 5.0, 7.0]),
+        # past its window the detector forgets the oldest values
+        (4, [100.0, -50.0, 1.0, 3.0, 5.0, 7.0]),
+    ], ids=["within_window", "past_window"])
+    def test_score_matches_two_sided_tail(self, window, vals):
+        det = WindowedGaussianDetector(window=window)
         for t, v in series(vals):
             det.step(t, v)
+        vals = vals[-window:]
         mu = sum(vals) / 4
         sigma = math.sqrt(sum((v - mu) ** 2 for v in vals) / 4)
         z = abs(10.0 - mu) / sigma

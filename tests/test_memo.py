@@ -2,8 +2,13 @@
 
 Each test runs a memoized layer next to a memo-free reference, built here
 by giving the layer a memo whose ``get`` always misses, and requires the
-two to agree step by step and in their final learned state.
+two to agree step by step and in their final learned state. The evicting
+stream's output is also pinned by hash, since both sides of a replay
+change together.
 """
+
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -34,6 +39,23 @@ def counting_misses(tm):
     compute = tm._compute_predictive
     tm._compute_predictive = lambda: (misses.append(1), compute())
     return misses
+
+
+def recording_replacements(tm):
+    """Record each row that create_segment returns while it already had an
+    owner: a segment evicted at the cap and replaced in place."""
+    replaced = []
+    create = tm.create_segment
+
+    def wrapped(cell, synapses=None):
+        n_rows = tm._n_rows
+        row = create(cell, synapses)
+        if row < n_rows:
+            replaced.append(row)
+        return row
+
+    tm.create_segment = wrapped
+    return replaced
 
 
 def trace(detector, values):
@@ -78,15 +100,37 @@ class TestDetectorReplay:
         memo_free(reference.sp)
         memo_free(reference.tm)
         misses = counting_misses(memoized.tm)
-        destroyed = []
-        destroy = memoized.tm.destroy_segment
-        memoized.tm.destroy_segment = lambda row: (destroyed.append(row), destroy(row))
+        replaced = recording_replacements(memoized.tm)
         assert trace(memoized, values) == trace(reference, values)
         assert memoized.tm.state_dict() == reference.tm.state_dict()
         assert memoized.sp.permanences.tobytes() == reference.sp.permanences.tobytes()
         assert np.array_equal(memoized.sp.connected, reference.sp.connected)
         assert len(misses) <= max_miss_share * len(values)
-        assert bool(destroyed) == ("tm_max_segments_per_cell" in params)
+        assert bool(replaced) == ("tm_max_segments_per_cell" in params)
+
+
+class TestEvictionGolden:
+    # sha256 of the scores and of json.dumps(state_dict()) for the evicting
+    # replay's stream at caps of 2 and 1 segments per cell, computed while
+    # an evicted row was still freed and taken back; eviction must keep
+    # them byte-identical
+    SHA256 = {
+        2: ("33eebea3d9aa2c20f8e97db0788a922e443bda2a2bad467488f57013587cf816",
+            "200d2e21a223749f85f865933a48f9cafae4a7c16f4a4ce36ba0a52a25c6e55f"),
+        1: ("c17c87e359b7a352ed3e0012df5ecbe7418103b066eab3df5fe203755ec8cabf",
+            "586e974e407fda4e48c021a5e363e39360191f88680c0eed4970373728c93b10"),
+    }
+
+    @pytest.mark.parametrize("cap", [2, 1])
+    def test_evicting_stream_unchanged(self, cap):
+        detector = HtmDetector({"value_min": -2.0, "value_max": 2.0, "n_columns": 512,
+                                "m_cells": 4, "tm_max_segments_per_cell": cap}, seed=1)
+        replaced = recording_replacements(detector.tm)
+        scores = [detector.step(None, v) for v in staircase(1500, sigma=0.005)]
+        digests = tuple(hashlib.sha256(json.dumps(x).encode()).hexdigest()
+                        for x in (scores, detector.tm.state_dict()))
+        assert replaced
+        assert digests == self.SHA256[cap]
 
 
 def pooler():
@@ -156,16 +200,22 @@ class TestTemporalMemoryInvalidation:
         _, after = step_both(tms, (0, 1))
         assert 5 in after and 5 not in before
 
-    def test_destroy_segment(self):
-        tms = self.memories()
-        _, before = step_both(tms, (0, 1))
-        assert before
+    def test_replace_predicting_segment(self):
+        """An empty segment replaces a predicting one at the cap of one
+        segment per cell; learning is off, so nothing else rewires."""
+        tms = [memo_free(tm) if i else tm for i, tm in enumerate(
+            TemporalMemory(n_columns=6, m_cells=1, activation_threshold=0,
+                           perm_inc=0.0, perm_dec=0.0, perm_punish=0.0,
+                           max_segments_per_cell=1) for _ in range(2))]
         for tm in tms:
-            for cell in before:
-                for row in tm.segments_of(cell):
-                    tm.destroy_segment(row)
-        _, after = step_both(tms, (0, 1))
-        assert not after & before
+            row = tm.create_segment(5, {0: 0.6})
+        for _ in range(2):  # the second round hits the memo
+            _, before = step_both(tms, (0,))
+            step_both(tms, (1,))
+        for tm in tms:
+            assert tm.create_segment(5) == row
+        _, after = step_both(tms, (0,))
+        assert before == {5} and not after
 
     def test_rounding_onto_the_threshold_is_a_crossing(self):
         """0.4 + 0.09999999 is below 0.5 in float64 but stores as 0.5 in

@@ -7,6 +7,7 @@ definition that ``TemporalMemory.step``'s raw score is tested against, and
 
 import copy
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from htmpm.detectors import HtmDetector
 from htmpm.errors import ValidationError
 from htmpm.spatial_pooler import ColumnActivation
 from htmpm.temporal_memory import MIN_MATCH, TemporalMemory
+from test_memo import recording_replacements
 
 
 def flat_tm(n_columns=4, **kwargs):
@@ -248,50 +250,53 @@ class TestSegmentBookkeeping:
 
     def test_lru_tie_evicts_lowest_row(self):
         tm = flat_tm(max_segments_per_cell=2)
-        other = tm.create_segment(1, {2: 0.5})
-        older = tm.create_segment(0, {1: 0.5})
-        tm.destroy_segment(other)
-        newer = tm.create_segment(0, {2: 0.5})  # reuses the freed row 0
-        assert (older, newer) == (1, 0)
-        assert tm.segments_of(0) == [0, 1] and tm.segments_of(1) == []
-        # equal last use: the victim is the lowest row, not the older segment
-        tm.create_segment(0, {3: 0.5})
-        presyn_sets = {frozenset(tm.synapses_of(r)) for r in tm.segments_of(0)}
-        assert presyn_sets == {frozenset({1}), frozenset({3})}
-
-    def test_row_recycling(self):
-        tm = flat_tm()
-        row = tm.create_segment(0, {1: 0.5})
-        tm.destroy_segment(row)
-        assert tm.create_segment(1, {2: 0.5}) == row
-
-    def test_destroying_a_free_row_rejected(self):
-        tm = flat_tm()
-        row = tm.create_segment(0, {1: 0.5})
-        tm.destroy_segment(row)
-        with pytest.raises(ValidationError):
-            tm.destroy_segment(row)
+        older, newer = (tm.create_segment(0, {p: 0.5}) for p in (1, 2))
+        # equal last use: the victim is the lowest row, here the older segment
+        assert tm.create_segment(0, {3: 0.5}) == older
+        # and again now that the lowest row holds the newest segment
+        assert tm.create_segment(0, {1: 0.5}) == older
+        assert tm.segments_of(0) == [older, newer]
+        assert [tm.synapses_of(r) for r in (older, newer)] == [{1: 0.5}, {2: 0.5}]
 
     def test_too_many_synapses_rejected(self):
         tm = flat_tm(max_synapses_per_segment=2)
         with pytest.raises(ValidationError):
             tm.create_segment(0, {1: 0.5, 2: 0.5, 3: 0.5})
-        assert (tm.segment_count(), tm._n_rows, tm._free_rows) == (0, 0, [])
+        assert (tm.segment_count(), tm._n_rows) == (0, 0)
 
     @pytest.mark.parametrize("cell", [-1, 4])
     def test_owner_outside_cells_rejected(self, cell):
         tm = flat_tm()
         with pytest.raises(ValidationError, match=rf"cell {cell} outside \[0, 4\)"):
             tm.create_segment(cell, {1: 0.6})
-        # no row was taken: neither live nor free
-        assert (tm.segment_count(), tm._n_rows, tm._free_rows) == (0, 0, [])
+        # no row was taken
+        assert (tm.segment_count(), tm._n_rows) == (0, 0)
 
     @pytest.mark.parametrize("presyn", [-2, -1, 4])
     def test_presynaptic_cell_outside_cells_rejected(self, presyn):
         tm = flat_tm()
         with pytest.raises(ValidationError, match=rf"\[{presyn}\] outside \[0, 4\)"):
             tm.create_segment(0, {1: 0.6, presyn: 0.6})
-        assert (tm.segment_count(), tm._n_rows, tm._free_rows) == (0, 0, [])
+        assert (tm.segment_count(), tm._n_rows) == (0, 0)
+
+    @pytest.mark.parametrize("cell, synapses, match", [
+        (1.5, {2.7: 5.0}, r"cell 1\.5 outside \[0, 4\) or not an integer"),
+        (True, None, r"cell True outside \[0, 4\) or not an integer"),
+        (1, {2.7: 0.5}, r"cell\(s\) \[2\.7\] outside \[0, 4\) or not integers"),
+        (1, {False: 0.5}, r"cell\(s\) \[False\] outside \[0, 4\) or not integers"),
+        (1, {2: 5.0}, r"permanence\(s\) \[5\.0\] outside \[0, 1\]"),
+        (1, {2: -0.1}, r"permanence\(s\) \[-0\.1\] outside"),
+        (1, {2: math.nan}, r"permanence\(s\) \[nan\] outside"),
+        (1, {2: math.inf}, r"permanence\(s\) \[inf\] outside"),
+        (1, {2: True}, r"permanence\(s\) \[True\] outside"),
+        (1, {2: "0.5"}, r"permanence\(s\) \['0\.5'\] outside"),
+    ], ids=["fractional_owner", "bool_owner", "fractional_presyn", "bool_presyn",
+            "above_one", "negative", "nan", "inf", "bool_permanence", "text_permanence"])
+    def test_fraction_or_bad_permanence_rejected(self, cell, synapses, match):
+        tm = flat_tm()
+        with pytest.raises(ValidationError, match=match):
+            tm.create_segment(cell, synapses)
+        assert (tm.segment_count(), tm._n_rows) == (0, 0)
 
     def test_refused_segment_evicts_nothing(self):
         tm = flat_tm(max_segments_per_cell=1)
@@ -372,7 +377,7 @@ def loop_predictive(tm):
 
 def random_predict_tm(seed):
     """A TM whose permanences sit below, exactly at and above the connect
-    threshold, with scattered padding, freed rows and random activity."""
+    threshold, with scattered padding and random activity."""
     rng = np.random.default_rng(seed)
     tm = TemporalMemory(n_columns=5, m_cells=2,
                         activation_threshold=int(rng.integers(0, 4)),
@@ -381,9 +386,6 @@ def random_predict_tm(seed):
         cells = rng.choice(tm.n_cells, size=int(rng.integers(0, 6)), replace=False)
         tm.create_segment(int(rng.integers(tm.n_cells)),
                           {int(c): float(rng.choice([0.4, 0.5, 0.6])) for c in cells})
-    for row in range(tm._n_rows):
-        if rng.random() < 0.2:
-            tm.destroy_segment(row)
     tm._active_arr[:-1] = rng.random(tm.n_cells) < 0.6
     # exactly activation_threshold active synapses, each with a permanence
     # at the connect threshold: established, but not predictive (strict '>')
@@ -438,14 +440,12 @@ class TestRawScoreFromStep:
     def test_matches_raw_anomaly_score(self, seed):
         """The step's raw score equals raw_anomaly_score of the columns
         predicted before the step, while a cap of 2 segments per cell keeps
-        evicting segments and handing their rows to new ones."""
+        replacing segments in place."""
         rng = np.random.default_rng(seed)
         tm = TemporalMemory(n_columns=8, m_cells=2, activation_threshold=1,
                             sample_size=3, max_segments_per_cell=2,
                             max_synapses_per_segment=6)
-        evicted = []
-        destroy = tm.destroy_segment
-        tm.destroy_segment = lambda row: (evicted.append(row), destroy(row))
+        replaced = recording_replacements(tm)
         patterns = [tuple(sorted(rng.choice(8, size=3, replace=False))) for _ in range(4)]
         raws = []
         for t in range(400):
@@ -460,7 +460,7 @@ class TestRawScoreFromStep:
             raw = tm.step(ColumnActivation(active, 8, 3))
             assert raw == raw_anomaly_score(predicted, active)
             raws.append(raw)
-        assert evicted and min(raws) < 1.0
+        assert replaced and min(raws) < 1.0
 
 
 class TestMatchingCountedAtStep:
@@ -480,11 +480,10 @@ class TestMatchingCountedAtStep:
 
     def test_replaced_segment_does_not_inherit_matches(self):
         tm = TemporalMemory(n_columns=3, m_cells=2, activation_threshold=5,
-                            perm_punish=0.01)
-        old = tm.create_segment(4, {0: 0.3, 1: 0.3})
+                            perm_punish=0.01, max_segments_per_cell=1)
+        old = tm.create_segment(3, {0: 0.3, 1: 0.3})
         tm.step(ColumnActivation((0,), 3, 1))  # row `old` matches 2 cells
-        tm.destroy_segment(old)
-        row = tm.create_segment(3, {5: 0.3})
+        row = tm.create_segment(3, {5: 0.3})  # replaces it at the cap
         assert row == old
         tm.step(ColumnActivation((1,), 3, 1))
         # cell 3's segment matches nothing: the winner is cell 2, which has
