@@ -157,6 +157,8 @@ class ThresholdDetector:
         self.threshold = None if threshold is None else _number("threshold", threshold)
         self.feature = feature
         self.rms_window = _integer("rms_window", rms_window)
+        if self.rms_window < 1:
+            raise ValidationError(f"rms_window must be >= 1, got {self.rms_window}")
         self.calibration_sigmas = _number("calibration_sigmas", calibration_sigmas)
         self._recent: deque[float] = deque()
 

@@ -8,10 +8,13 @@ record of it: a cell's segments are its rows in row order, so every tie
 among one cell's segments (best matching segment, least recently used
 victim) goes to the lowest row. A cell at ``max_segments_per_cell``
 replaces its least recently used segment in place, so no row is ever
-freed. Cell activity is held only in arrays: a mask of active cells, the
-sorted winner cells, and the predictive segment rows with their synapse
-counts; the cell and column sets the queries return are derived from
-them.
+freed. A step allocates all of its new segments in one batch
+(``_allocate``, which ``create_segment`` also uses): the capacity grows,
+by doubling, once, and the rows come out as one ``create_segment`` call
+per winner cell would give them, in column order. Cell activity is held
+only in arrays: a mask of active cells, the sorted winner cells, and the
+predictive segment rows with their synapse counts; the cell and column
+sets the queries return are derived from them.
 
 A cell becomes predictive when at least one of its segments has strictly
 more than ``activation_threshold`` established synapses onto currently
@@ -47,12 +50,13 @@ those two arrays' bytes; an entry holds the predictive rows and their
 counts, read-only. The predict pass depends on nothing else but the
 connections: which live synapses sit at or above the connect threshold,
 onto which cells. Those change only where a stored float32 permanence
-crosses the threshold, so ``_rewired`` compares stored permanences
-before and after each learning change and clears the memo when one
-crossed: in ``_adjust`` (learning and synapse death) and ``_grow`` (only
-when ``initial_permanence`` is itself connected). ``create_segment`` clears
-it when the segment it replaces has an established synapse (no memoized
-predictive row lacks one), and outright when it implants synapses. A
+crosses the threshold. The memo is cleared in four places: ``_adjust``
+(learning and synapse death) compares stored permanences before and
+after and clears it when one crossed; growth clears it when
+``initial_permanence`` is itself connected, since a free slot always
+holds permanence 0; ``_allocate`` clears it when a segment it replaces
+has an established synapse (no memoized predictive row lacks one); and
+``create_segment`` clears it outright when it implants synapses. A
 repeated input on a stable memory (the healthy stretch of a periodic
 signal) skips the predict pass; an input that never repeats misses, and
 pays for the lookup and the crossing tests. At most ``MEMO_ENTRIES`` keys
@@ -142,7 +146,7 @@ class TemporalMemory:
         # intp, so that gathers through the cell masks need no index cast
         self.seg_presyn = np.zeros((cap, max_synapses_per_segment), dtype=np.intp)
         self.seg_perm = np.zeros((cap, max_synapses_per_segment), dtype=np.float32)
-        self.seg_cell = np.zeros(cap, dtype=np.int32)  # owner cell
+        self.seg_cell = np.zeros(cap, dtype=np.intp)  # owner cell, intp likewise
         self.seg_last_used = np.zeros(cap, dtype=np.int64)
         self._n_rows = 0  # rows 0 .. _n_rows - 1 are allocated, each owned
         self._step = 0
@@ -176,8 +180,8 @@ class TemporalMemory:
         col_mask[predicted // m] = False  # now: the active columns that burst
         bursting = columns[col_mask[columns]]
         winners = self._predicted_winners(predicted, self._active_counts[correct])
-        burst_winners, matching_rows = self._burst_winners(bursting)
-        self._learn(rows[correct], rows[~correct], burst_winners, matching_rows)
+        burst_winners, matching_rows, counts = self._burst_winners(bursting)
+        self._learn(rows[correct], rows[~correct], burst_winners, matching_rows, counts)
         self._active_arr[:] = False
         self._active_arr[predicted] = True
         self._active_arr[:-1].reshape(self.n_columns, m)[bursting] = True
@@ -209,58 +213,63 @@ class TemporalMemory:
         go to the cell with the fewest segments, then to the lowest index.
         Also returns each winner's best matching row (most matching synapses,
         ties to the lowest row), or -1 where none of its segments has at
-        least min(MIN_MATCH, sample_size) of them. Matching synapses are live
-        synapses onto the cells still marked active, the previous step's."""
+        least min(MIN_MATCH, sample_size) of them, and each winner's number
+        of segments. Matching synapses are live synapses onto the cells
+        still marked active, the previous step's."""
         if not len(bursting):
-            return bursting, bursting  # no winners, no matching rows
-        m = self.m_cells
-        slot = np.full(self.n_columns, -1)  # bursting column -> table row
-        slot[bursting] = np.arange(len(bursting))
-        owners = self.seg_cell[:self._n_rows]
-        rows = np.flatnonzero(slot[owners // m] >= 0)
-        cells = owners[rows]
-        match = np.count_nonzero(self._active_arr[self.seg_presyn[rows]], axis=1)
-        b, i = slot[cells // m], cells % m
-        best = np.zeros((len(bursting), m), dtype=np.int64)
-        np.maximum.at(best, (b, i), match)
-        n_segs = np.zeros((len(bursting), m), dtype=np.int64)
-        np.add.at(n_segs, (b, i), 1)
-        top = best == best.max(axis=1, keepdims=True)
-        pick = np.where(top, n_segs, np.iinfo(np.int64).max).argmin(axis=1)
-        is_best = ((i == pick[b]) & (match == best[b, i])
-                   & (match >= min(MIN_MATCH, self.sample_size)))
-        # rows ascend, so each column's first occurrence is its lowest row
-        found, first = np.unique(b[is_best], return_index=True)
-        matching_rows = np.full(len(bursting), -1)
-        matching_rows[found] = rows[is_best][first]
-        return bursting * m + pick, matching_rows
+            return bursting, bursting, bursting  # no winners
+        m, n = self.m_cells, self._n_rows
+        # a table of the bursting columns' cells, column by column
+        first = np.arange(0, len(bursting) * m, m)
+        slot = np.full(self.n_columns, -1)
+        slot[bursting] = first
+        owners = self.seg_cell[:n]
+        entry = slot[owners // m]
+        rows = np.flatnonzero(entry >= 0)
+        entry = entry[rows] + owners[rows] % m  # each row's cell in the table
+        match = self._active_arr[self.seg_presyn[rows]].sum(axis=1)
+        # a row's matches, then its lowness, in one number: a cell's maximum
+        # is its best match, ties to the lowest row (0 for a cell with none)
+        span = n + 1
+        best = np.zeros(len(bursting) * m, dtype=np.intp)
+        np.maximum.at(best, entry, match * span + (n - rows))
+        counts = np.bincount(entry, minlength=len(best))
+        # most matches, then fewest segments; argmax ties to the lowest cell
+        pick = (best // span * span - counts).reshape(-1, m).argmax(axis=1)
+        won = first + pick
+        best = best[won]
+        matching_rows = np.where(best >= min(MIN_MATCH, self.sample_size) * span,
+                                 n - best % span, -1)
+        return bursting * m + pick, matching_rows, counts[won]
 
-    def _learn(self, correct_rows, wrong_rows, burst_winners, matching_rows):
+    def _learn(self, correct_rows, wrong_rows, burst_winners, matching_rows, counts):
         """(a) Segments that correctly predicted are reinforced; (b) segments
         that predicted a column that stayed silent are punished; (c) each
-        bursting column's winner reinforces its best matching segment, or
-        gets a new one, and grows it toward the previous winner cells."""
+        bursting column's winner reinforces its best matching segment and
+        grows it toward the previous winner cells, or gets a new segment
+        grown toward them. counts: each winner's number of segments."""
         if self.perm_inc == 0 and self.perm_dec == 0 and self.perm_punish == 0:
             return
         prev_winners = self._winners
-        reinforce, growing = correct_rows, ()
+        reinforce, grow = correct_rows, ()
         if len(burst_winners):
-            grow = matching_rows[matching_rows >= 0]
+            matched = matching_rows >= 0
+            grow = matching_rows[matched]
+            reinforce = np.concatenate([correct_rows, grow])
             # a winner with no matching segment gets a new one when there
             # are previous winners for it to grow onto
-            lacking = burst_winners[matching_rows < 0] if len(prev_winners) else []
-            new = np.array([self.create_segment(int(c)) for c in lacking], dtype=np.int64)
-            reinforce = np.concatenate([correct_rows, grow])
-            growing = np.concatenate([grow, new])
+            if len(grow) < len(burst_winners) and len(prev_winners):
+                lacking = ~matched
+                new = self._allocate(burst_winners[lacking], counts[lacking])
+                self._grow_new(new, prev_winners)
         self.seg_last_used[reinforce] = self._step
-        # gathered after create_segment, which may have replaced segments
         rows = np.concatenate([reinforce, wrong_rows])
         presyn = self.seg_presyn[rows]
         delta = np.where(self._active_arr[presyn], self.perm_inc, -self.perm_dec)
         delta[len(reinforce):] = -self.perm_punish  # the wrong predictions
         self._adjust(rows, presyn, delta)
-        if len(growing) and len(prev_winners):
-            self._grow(growing, prev_winners)
+        if len(grow) and len(prev_winners):
+            self._grow(grow, prev_winners)
 
     def _adjust(self, rows, presyn, delta):
         """Add delta to the live synapses of rows (whose presyn is given),
@@ -275,32 +284,50 @@ class TemporalMemory:
             self.seg_presyn[rows] = presyn
         stored = updated.astype(self.seg_perm.dtype)
         self.seg_perm[rows] = stored
-        self._rewired(before, stored)
+        # forget the memoized predictions if a stored permanence crossed the
+        # connect threshold; comparing the masks' bytes costs half of a
+        # reduction over them
+        threshold = self.connect_threshold
+        if (before >= threshold).tobytes() != (stored >= threshold).tobytes():
+            self._memo.clear()
 
     def _grow(self, rows, winners):
         """Give each row synapses onto the sorted winner cells it lacks,
         lowest cell first and skipping its own column, until it samples
         sample_size winners or has no free slot left."""
         presyn = self.seg_presyn[rows]
-        pos = np.minimum(np.searchsorted(winners, presyn), len(winners) - 1)
-        found = winners[pos] == presyn
-        has = np.zeros((len(rows), len(winners)), dtype=bool)
-        has[np.nonzero(found)[0], pos[found]] = True
-        own_col = self.seg_cell[rows] // self.m_cells
-        new = ~has & (winners // self.m_cells != own_col[:, None])
+        pos = np.searchsorted(winners, presyn)
+        found = winners.take(pos, mode="clip") == presyn
         free = presyn == self._sentinel
-        budget = np.minimum(self.sample_size - has.sum(axis=1), free.sum(axis=1))
+        budget = np.minimum(self.sample_size - found.sum(axis=1), free.sum(axis=1))
+        if budget.max() <= 0:
+            return  # every row samples enough winners or is full
+        has = np.zeros((len(rows), len(winners)), dtype=bool)
+        has[found.nonzero()[0], pos[found]] = True
+        new = ~has & (winners // self.m_cells != self.seg_cell[rows, None] // self.m_cells)
         rank = np.cumsum(new, axis=1) - 1
         take_row, take_winner = np.nonzero(new & (rank < budget[:, None]))
         # the t-th synapse a row gains goes into its t-th free slot
         free_slots = np.argsort(~free, axis=1, kind="stable")
-        slots = free_slots[take_row, rank[take_row, take_winner]]
-        targets = rows[take_row], slots
-        before = self.seg_perm[targets]
-        self.seg_presyn[targets] = winners[take_winner]
-        self.seg_perm[targets] = self.initial_permanence
-        if len(take_row):
-            self._rewired(before, self.seg_perm[targets])
+        self._connect(rows[take_row], free_slots[take_row, rank[take_row, take_winner]],
+                      winners[take_winner])
+
+    def _grow_new(self, rows, winners):
+        """_grow for rows with no synapse: each samples the first
+        sample_size winner cells outside its own column, in slots 0, 1, ..."""
+        new = winners // self.m_cells != self.seg_cell[rows, None] // self.m_cells
+        rank = np.cumsum(new, axis=1) - 1
+        take_row, take_winner = np.nonzero(new & (rank < self.sample_size))
+        self._connect(rows[take_row], rank[take_row, take_winner], winners[take_winner])
+
+    def _connect(self, rows, slots, presyn):
+        """Grow synapses at initial_permanence into free slots. A free slot
+        holds permanence 0 (padding is written as 0, and a synapse dies at
+        0), so they rewire only when initial_permanence is connected."""
+        self.seg_presyn[rows, slots] = presyn
+        self.seg_perm[rows, slots] = self.initial_permanence
+        if len(rows) and self.seg_perm[rows[0], slots[0]] >= self.connect_threshold:
+            self._memo.clear()
 
     def _compute_predictive(self):
         """Eq.-(2) semantics over the current active cells. Strict '>':
@@ -318,16 +345,6 @@ class TemporalMemory:
         self._active_counts = counts[self._active_rows].astype(np.intp)
         self._active_rows.setflags(write=False)
         self._active_counts.setflags(write=False)
-
-    def _rewired(self, before, after) -> None:
-        """Forget the memoized predictions if a stored permanence moved
-        from ``before`` to ``after`` (arrays of one shape) across the
-        connect threshold: the one test of whether the connections
-        changed."""
-        threshold = self.connect_threshold
-        # comparing the masks' bytes costs half of a reduction over them
-        if (before >= threshold).tobytes() != (after >= threshold).tobytes():
-            self._memo.clear()
 
     # ------------------------------------------------------------------
     # segment bookkeeping
@@ -357,21 +374,7 @@ class TemporalMemory:
                        or not 0.0 <= q <= 1.0]
             if invalid:
                 raise ValidationError(f"permanence(s) {invalid} outside [0, 1]")
-        rows = self.segments_of(cell)
-        if len(rows) >= self.max_segments_per_cell:
-            row = rows[int(np.argmin(self.seg_last_used[rows]))]
-            # a memoized predictive row always has an established synapse
-            if (self.seg_perm[row] >= self.connect_threshold).any():
-                self._memo.clear()
-        else:
-            if self._n_rows == len(self.seg_cell):
-                self._grow_capacity()
-            row = self._n_rows
-            self._n_rows += 1
-        self.seg_presyn[row] = self._sentinel
-        self.seg_perm[row] = 0.0
-        self.seg_cell[row] = cell
-        self.seg_last_used[row] = self._step
+        row = int(self._allocate(np.array([cell]), np.array([len(self.segments_of(cell))]))[0])
         if synapses:
             for i, (presyn, perm) in enumerate(sorted(synapses.items())):
                 self.seg_presyn[row, i] = presyn
@@ -379,9 +382,34 @@ class TemporalMemory:
             self._memo.clear()
         return row
 
+    def _allocate(self, cells, counts):
+        """Give each of one or more distinct cells (with counts segments
+        each) a new, empty segment and return their rows: the rows
+        create_segment would give them one cell at a time, in order. A cell
+        below max_segments_per_cell takes the next unallocated row; a cell
+        at it replaces its least recently used segment (ties to the lowest
+        row) in place."""
+        fresh = counts < self.max_segments_per_cell
+        taken = np.cumsum(fresh)  # fresh rows taken so far
+        rows = taken + (self._n_rows - 1)
+        for i in np.flatnonzero(~fresh).tolist():
+            mine = self.segments_of(int(cells[i]))
+            rows[i] = row = mine[int(np.argmin(self.seg_last_used[mine]))]
+            # a memoized predictive row always has an established synapse
+            if (self.seg_perm[row] >= self.connect_threshold).any():
+                self._memo.clear()
+        self._n_rows += int(taken[-1])
+        while self._n_rows > len(self.seg_cell):
+            self._grow_capacity()
+        self.seg_presyn[rows] = self._sentinel
+        self.seg_perm[rows] = 0.0
+        self.seg_cell[rows] = cells
+        self.seg_last_used[rows] = self._step
+        return rows
+
     def _grow_capacity(self):
         """Double the row capacity. Rows from _n_rows on are never read:
-        create_segment writes every field of a row it takes."""
+        _allocate writes every field of a row it takes."""
         # one array at a time, so that one old array at most outlives its copy
         for name in ("seg_presyn", "seg_perm", "seg_cell", "seg_last_used"):
             rows = getattr(self, name)

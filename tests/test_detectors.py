@@ -104,6 +104,13 @@ class TestThresholdDetector:
         with pytest.raises(ValidationError):
             ThresholdDetector(feature="peak")
 
+    @pytest.mark.parametrize("rms_window", [0, -3])
+    def test_empty_rms_window_rejected(self, rms_window):
+        # an rms over no values would divide by zero at calibration
+        with pytest.raises(ValidationError, match=f"rms_window must be >= 1, got {rms_window}"):
+            build_detector(DetectorConfig("threshold", {"feature": "rms",
+                                                        "rms_window": rms_window}))
+
 
 class TestWindowedGaussian:
     def test_first_records_are_half(self):

@@ -42,19 +42,19 @@ def counting_misses(tm):
 
 
 def recording_replacements(tm):
-    """Record each row that create_segment returns while it already had an
-    owner: a segment evicted at the cap and replaced in place."""
+    """Record each row that _allocate, the one way create_segment and
+    learning take a row, returns while it already had an owner: a segment
+    evicted at the cap and replaced in place."""
     replaced = []
-    create = tm.create_segment
+    allocate = tm._allocate
 
-    def wrapped(cell, synapses=None):
+    def wrapped(cells, counts):
         n_rows = tm._n_rows
-        row = create(cell, synapses)
-        if row < n_rows:
-            replaced.append(row)
-        return row
+        rows = allocate(cells, counts)
+        replaced.extend(rows[rows < n_rows].tolist())
+        return rows
 
-    tm.create_segment = wrapped
+    tm._allocate = wrapped
     return replaced
 
 

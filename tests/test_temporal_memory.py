@@ -414,8 +414,15 @@ class TestVectorizedMatchesLoops:
     def test_burst_winners(self, seed):
         tm, rng = random_tm(seed)
         bursting = rng.choice(tm.n_columns, size=int(rng.integers(1, 7)), replace=False)
-        winners, matching_rows = tm._burst_winners(bursting)
+        winners, matching_rows, _ = tm._burst_winners(bursting)
         assert (winners.tolist(), matching_rows.tolist()) == loop_burst_winners(tm, bursting)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_burst_winner_segment_counts(self, seed):
+        tm, rng = random_tm(seed)
+        bursting = rng.choice(tm.n_columns, size=int(rng.integers(1, 7)), replace=False)
+        winners, _, counts = tm._burst_winners(bursting)
+        assert counts.tolist() == [len(tm.segments_of(int(w))) for w in winners]
 
     @pytest.mark.parametrize("seed", range(40))
     def test_compute_predictive(self, seed):
@@ -433,6 +440,57 @@ class TestVectorizedMatchesLoops:
         tm._active_arr[:-1] = True
         tm._compute_predictive()
         assert tm._active_counts.tolist() == [280] and tm._active_rows.tolist() == [row]
+
+
+class TestBatchedAllocation:
+    """A burst's new segments, allocated and grown in one batch, equal
+    create_segment called once per lacking winner in column order and
+    then grown by _grow."""
+
+    @staticmethod
+    def batch_and_sequence(tm, bursting):
+        winners, matching_rows, counts = tm._burst_winners(np.array(bursting))
+        lacking = matching_rows < 0
+        ref = copy.deepcopy(tm)
+        rows = tm._allocate(winners[lacking], counts[lacking])
+        tm._grow_new(rows, tm._winners)
+        ref_rows = [ref.create_segment(int(cell)) for cell in winners[lacking]]
+        ref._grow(np.array(ref_rows), ref._winners)
+        assert rows.tolist() == ref_rows
+        for name in ("seg_cell", "seg_last_used", "seg_presyn", "seg_perm"):
+            assert np.array_equal(getattr(tm, name), getattr(ref, name)), name
+        assert tm._n_rows == ref._n_rows
+        assert list(tm._memo) == list(ref._memo)
+        return rows
+
+    def test_burst_mixing_replaced_and_fresh_rows(self):
+        tm = flat_tm(n_columns=8, max_segments_per_cell=2, sample_size=3)
+        # cells 0 and 2 are at the cap; cell 0's least recently used segment
+        # has an established synapse, cell 2's two segments tie
+        for cell, synapses, last_used in [(0, {5: 0.3}, 5), (3, {5: 0.3}, 6),
+                                          (0, {6: 0.6}, 3), (2, {5: 0.3}, 4),
+                                          (2, {6: 0.3}, 4)]:
+            tm.seg_last_used[tm.create_segment(cell, synapses)] = last_used
+        tm._step = 7
+        tm._winners = np.array([1, 4, 6])
+        tm._memo[(b"columns", b"predicted")] = (np.empty(0), np.empty(0))
+        rows = self.batch_and_sequence(tm, [0, 2, 3, 5, 7])
+        # cell 0 replaces row 2, cell 2 its lower row 3; the rest take rows
+        assert rows.tolist() == [2, 3, 5, 6, 7] and tm._n_rows == 8
+        assert not tm._memo  # row 2 had an established synapse
+
+    def test_burst_crossing_a_capacity_doubling(self):
+        tm = flat_tm(n_columns=300, sample_size=3)
+        for cell in range(250):
+            tm.create_segment(cell)
+        assert (tm._n_rows, len(tm.seg_cell)) == (250, 256)
+        tm._step = 3
+        tm._winners = np.array([1, 4, 6, 280])
+        tm._memo[(b"columns", b"predicted")] = (np.empty(0), np.empty(0))
+        rows = self.batch_and_sequence(tm, [3, 10] + list(range(270, 278)))
+        assert rows.tolist() == list(range(250, 260))
+        assert (tm._n_rows, len(tm.seg_cell)) == (260, 512)
+        assert tm._memo  # no replaced segment, nothing connected
 
 
 class TestRawScoreFromStep:
