@@ -89,6 +89,9 @@ def cmd_run(cfg: RunConfig, workers: int = 1) -> Path:
     the module docstring describes."""
     if workers < 1:
         raise ValidationError(f"--workers must be at least 1, got {workers}")
+    if cfg.output_dir.resolve() == cfg.corpus_dir.resolve():
+        raise ValidationError(f"output directory {cfg.output_dir} is the corpus directory, "
+                              "whose series files the score files would replace")
     files = sorted(cfg.corpus_dir.glob("*.csv"))
     if not files:
         raise DataError(f"no .csv series in {cfg.corpus_dir}")
@@ -154,6 +157,8 @@ def cmd_score(scores_dir, labels_path, profiles, output_dir,
         windows_by_file[path.name] = make_windows(
             labels.get(path.name, []), columns.span(), window_budget
         )
+    if not any(windows_by_file.values()):  # the null detector would score as the oracle
+        raise DataError(f"no scored file has an anomaly window in {labels_path}")
 
     results = benchmark(
         detector_name, outputs, windows_by_file,

@@ -1,7 +1,8 @@
 """Streaming anomaly detectors behind one uniform contract.
 
 Every detector consumes timestamped scalars one at a time and emits one
-anomaly score in [0, 1] per record, in order. The HTM detector composes
+anomaly score in [0, 1] per record, in order; ``run_file`` steps one
+file's ``series.Columns`` through a fresh detector. The HTM detector composes
 encoder -> spatial pooler -> temporal memory -> raw prediction error ->
 (optionally) HD anomaly likelihood. Active bits pass between those layers
 as int index arrays: the encoder's block of input indices, then the
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 from .anomaly import LikelihoodState, update_likelihood
 from .encoder import N_BITS, W_ACTIVE, ScalarEncoderConfig, calibrated_config, encode
 from .errors import DataError, StreamError, ValidationError
-from .series import _as_columns
+from .series import Columns
 from .spatial_pooler import SpatialPooler
 from .temporal_memory import TemporalMemory
 
@@ -282,14 +283,13 @@ def build_detector(cfg: DetectorConfig):
     raise ValidationError(f"unknown detector kind {cfg.kind!r}")
 
 
-def run_file(cfg: DetectorConfig, series, train_fraction: float = 0.15) -> list[float]:
+def run_file(cfg: DetectorConfig, columns: Columns, train_fraction: float = 0.15) -> list[float]:
     """Run a fresh detector over one file's records.
 
-    ``series`` is ``Columns``, as ``read_series`` returns, or
-    ``(datetime, float)`` pairs, which become columns first. Each record is
-    stepped once, in order, as ``step(timestamp, value)`` with the
-    timestamp in int microseconds since 1970-01-01 (naive UTC); timestamps
-    out of order are refused before any record is stepped.
+    ``columns`` are the records as ``read_series`` returns them. Each
+    record is stepped once, in order, as ``step(timestamp, value)`` with
+    the timestamp in int microseconds since 1970-01-01 (naive UTC);
+    timestamps out of order are refused before any record is stepped.
 
     The first train_fraction of records is still fed through the detector
     (online learning), but their emitted scores are forced to 0 so the
@@ -297,7 +297,6 @@ def run_file(cfg: DetectorConfig, series, train_fraction: float = 0.15) -> list[
     prefix calibrates the detector: with an empty prefix, a detector that
     needs calibration fails rather than look ahead into the scored stream.
     """
-    columns = _as_columns(series)
     if not len(columns):
         raise DataError("empty series")
     if not 0.0 <= train_fraction < 1.0:

@@ -7,8 +7,11 @@ turning into penalties. Missed windows cost the false-negative weight.
 Thresholds are optimized per profile over the whole corpus, and raw scores
 are normalized to 0-100 against the null detector and a perfect oracle.
 
-Score streams are columns: int64 microsecond timestamps and float64
-scores, as ``series.read_scores`` gives them. Each file is classified once:
+Score streams are columns and nothing else: each file's stream is a
+``(times, scores)`` tuple of int64 microsecond timestamps and float64
+scores, as ``series.read_scores`` gives them, and ``oracle_outputs`` and
+``null_outputs`` take each file's times and return streams in that same
+form. Anomaly windows stay ``datetime``. Each file is classified once:
 a binary search over the window starts finds the window holding each record
 and one over the window ends the last window before it, and the profile-free
 part of the curve, 2/(1+e^{5y}) - 1, is computed once per record. Every
@@ -226,26 +229,15 @@ class _Sweep:
         return float(self.candidates[k]) + 0.0, float(totals[k])
 
 
-def _columns(output) -> tuple[np.ndarray, np.ndarray]:
-    """A score stream as (int64 microsecond times, float64 scores): a tuple
-    of columns passes as it is, a list of (datetime, score) pairs is
-    converted."""
-    if isinstance(output, tuple):
-        times, scores = output
-        return times, np.asarray(scores, dtype=float)
-    return _micros([t for t, _ in output]), np.array([s for _, s in output], dtype=float)
-
-
 def _classify(outputs: dict, windows_by_file) -> tuple[_Corpus, np.ndarray]:
     """The corpus of ``outputs`` and their scores, concatenated in its order."""
     if not outputs:
         raise ValidationError("empty corpus")
-    columns = {name: _columns(output) for name, output in outputs.items()}
-    corpus = _Corpus({name: times for name, (times, _) in columns.items()}, windows_by_file)
-    return corpus, np.concatenate([scores for _, scores in columns.values()])
+    corpus = _Corpus({name: times for name, (times, _) in outputs.items()}, windows_by_file)
+    return corpus, np.concatenate([scores for _, scores in outputs.values()], dtype=float)
 
 
-def optimize_threshold(outputs: dict[str, list], windows_by_file: dict[str, list[AnomalyWindow]],
+def optimize_threshold(outputs: dict[str, tuple], windows_by_file: dict[str, list[AnomalyWindow]],
                        profile: ScoringProfile) -> tuple[float, float]:
     """Sweep every distinct score value (plus 0 and 1) over the whole corpus
     and return (threshold, raw score) maximizing the summed score; ties go
@@ -264,19 +256,19 @@ def normalize(raw: float, null_raw: float, perfect_raw: float) -> float:
     return min(max(100.0 * (raw - null_raw) / (perfect_raw - null_raw), 0.0), 100.0)
 
 
-def oracle_outputs(timestamps_by_file: dict[str, list[datetime]],
-                   windows_by_file: dict[str, list[AnomalyWindow]]) -> dict[str, list]:
+def oracle_outputs(times_by_file: dict[str, np.ndarray],
+                   windows_by_file: dict[str, list[AnomalyWindow]]) -> dict[str, tuple]:
     """Perfect-detector score streams: 1.0 exactly at the first record inside
     each window, 0.0 everywhere else."""
-    corpus = _Corpus({name: _micros(ts) for name, ts in timestamps_by_file.items()},
-                     windows_by_file)
-    scores = iter(corpus.oracle_scores().tolist())
-    return {name: [(t, next(scores)) for t in timestamps]
-            for name, timestamps in timestamps_by_file.items()}
+    scores = _Corpus(times_by_file, windows_by_file).oracle_scores()
+    bounds = np.cumsum([len(times) for times in times_by_file.values()])[:-1]
+    return {name: (times, file_scores) for (name, times), file_scores
+            in zip(times_by_file.items(), np.split(scores, bounds))}
 
 
-def null_outputs(timestamps_by_file: dict[str, list[datetime]]) -> dict[str, list]:
-    return {name: [(t, _NULL_SCORE) for t in ts] for name, ts in timestamps_by_file.items()}
+def null_outputs(times_by_file: dict[str, np.ndarray]) -> dict[str, tuple]:
+    return {name: (times, np.full(len(times), _NULL_SCORE))
+            for name, times in times_by_file.items()}
 
 
 def _best_per_profile(corpus: _Corpus, scores: np.ndarray, profiles) -> list:
@@ -293,9 +285,8 @@ def benchmark(detector_name: str, outputs: dict,
     is classified once; the three streams and every profile share it.
 
     ``outputs`` maps a file name to its score stream: a ``(times, scores)``
-    tuple of int64 microsecond and float64 columns, as ``read_scores``
-    gives, or a list of (datetime, score) pairs, as ``oracle_outputs`` and
-    ``null_outputs`` give."""
+    tuple of int64 microsecond and float64 columns, as ``read_scores``,
+    ``oracle_outputs`` and ``null_outputs`` give."""
     profiles = list(profiles)
     corpus, scores = _classify(outputs, windows_by_file)
     # one sweep alive at a time: each is dropped before the next is built

@@ -17,12 +17,16 @@ reader returns ``Columns``: ``times`` as int64 microseconds since
 (line end stripped), which the detectors do not need but the score file
 repeats; the scorer uses ``read_scores``' columns as they are.
 
-Both kinds are written by one column writer. ``write_series`` and
-``write_scores`` take ``(datetime, float)`` pairs or ``Columns``; pairs
-become columns first. Records that carry their ``rows`` are written as
-those rows, so a score file repeats its series file's records as they
-were read, each followed by ``,`` and the score's repr. Otherwise the
-timestamps are formatted from int64 microseconds by
+Past the readers, records are ``Columns`` and nothing else:
+``detectors.run_file`` steps them, ``write_scores`` takes them with a
+score array and the scorer takes their ``times`` and ``scores``. Only
+``write_series`` also takes ``(datetime, float)`` pairs, which become
+columns first.
+
+Both kinds are written by one column writer. Records that carry their
+``rows`` are written as those rows, so a score file repeats its series
+file's records as they were read, each followed by ``,`` and the score's
+repr. Otherwise the timestamps are formatted from int64 microseconds by
 ``np.datetime_as_string``, with a whole second written without a fraction
 as ``datetime.isoformat`` writes it, and each number column is one
 ``map(repr, ...)`` over Python floats; the file is one join. Records the
@@ -36,7 +40,7 @@ they were read, so only their scores are checked again.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from itertools import compress, count, islice, repeat
 from operator import attrgetter, itemgetter
@@ -286,15 +290,13 @@ def write_series(path, records) -> None:
     _write_columns(path, _as_columns(records))
 
 
-def write_scores(path, records, scores) -> None:
-    """Records as ``write_series`` takes them, and one score per record,
-    as a score file: each row is the record's row, as read when the
-    records carry ``rows``, then ``,`` and the score's repr."""
+def write_scores(path, records: Columns, scores) -> None:
+    """Records, and one score per record, as a score file: each row is the
+    record's row, as read when the records carry ``rows``, then ``,`` and
+    the score's repr."""
     if len(records) != len(scores):
         raise DataError(f"{len(scores)} scores for {len(records)} records")
-    columns = _as_columns(records)
-    _write_columns(path, Columns(columns.times, columns.values,
-                                 np.asarray(scores, dtype=float), columns.rows))
+    _write_columns(path, replace(records, scores=np.asarray(scores, dtype=float)))
 
 
 def read_labels(path) -> dict[str, list[datetime]]:

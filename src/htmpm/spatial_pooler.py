@@ -150,8 +150,6 @@ class SpatialPooler:
         self._columns = np.arange(n_columns)[:, None]
         self._memo: dict[bytes, ColumnActivation] = {}  # input bytes -> winners
         self.rebuild_connections()
-        # composite ranking key: higher score wins, ties go to lower index
-        self._tiebreak = np.arange(n_columns, 0, -1, dtype=np.int64)
 
     def rebuild_connections(self) -> None:
         """Derive the connection matrix from ``permanences`` in full, and
@@ -193,16 +191,12 @@ class SpatialPooler:
         # a score is at most the number of active bits
         scores = self._connected_t[active].sum(
             axis=0, dtype=np.min_scalar_type(len(active)))
-        # top-k with lowest-index tie-break via a composite integer key
-        key = scores.astype(np.int64) * (self.n_columns + 1) + self._tiebreak
-        k = self.k_active
-        if k < self.n_columns:
-            top_idx = np.argpartition(key, self.n_columns - k)[self.n_columns - k:]
-        else:
-            top_idx = np.arange(self.n_columns)
+        # the scores are unsigned, so ~scores ranks the highest first, and a
+        # stable sort gives tied columns to the lowest index
+        top_idx = np.argsort(~scores, kind="stable")[:self.k_active]
         cols = np.sort(top_idx[scores[top_idx] > 0])
         cols.setflags(write=False)
-        return ColumnActivation(cols, self.n_columns, k)
+        return ColumnActivation(cols, self.n_columns, self.k_active)
 
     def learn_proximal(self, active: np.ndarray, activated: ColumnActivation) -> None:
         """Reinforce active columns toward the input: pool synapses on

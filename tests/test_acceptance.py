@@ -20,6 +20,7 @@ from htmpm.nab import (PROFILES, STANDARD, ScoringProfile, benchmark,
 from htmpm.psd_synth import SynthSpec, psd_map
 from htmpm.sdr import capacity, false_match_probability
 from htmpm.series import read_labels, read_series
+from records import as_columns
 
 T0 = datetime(2021, 1, 1)
 
@@ -129,10 +130,12 @@ def test_criterion_4_scorer_oracle_micro_corpus():
     }
     n_windows = sum(len(w) for w in windows.values())
     assert n_windows == 5
+    times = {name: as_columns([(t, 0.0) for t in stamps]).times
+             for name, stamps in timestamps.items()}
 
     # perfect oracle normalizes to 100 +/- 0.01, null to 0
-    oracle = oracle_outputs(timestamps, windows)
-    null = null_outputs(timestamps)
+    oracle = oracle_outputs(times, windows)
+    null = null_outputs(times)
     for result in benchmark("oracle", oracle, windows, PROFILES.values()):
         assert result.normalized_score == pytest.approx(100.0, abs=0.01)
     for result in benchmark("null", null, windows, PROFILES.values()):
@@ -144,8 +147,7 @@ def test_criterion_4_scorer_oracle_micro_corpus():
     assert sigma(-0.31, unit) == pytest.approx(0.65, abs=0.01)
 
     # the all-miss detector's raw score is exactly -(windows) * |a_fn|
-    silent = {name: [(t, 0.0) for t in ts_list]
-              for name, ts_list in timestamps.items()}
+    silent = {name: (t, np.zeros(len(t))) for name, t in times.items()}
     for profile in PROFILES.values():
         threshold, raw = optimize_threshold(silent, windows, profile)
         assert threshold == 1.0

@@ -11,11 +11,10 @@ import numpy as np
 
 from htmpm.cli import _sample_times, cmd_run, cmd_synth_generate, main
 from htmpm.config import RunConfig
-from htmpm.series import (read_scores, read_series, write_labels,
+from htmpm.series import (Columns, read_scores, read_series, write_labels,
                           write_scores, write_series)
 
 T0 = datetime(2021, 1, 1)
-EPOCH = datetime(1970, 1, 1)
 
 # Non-canonical spellings the readers accept: offsets, Z, a space
 # separator, a fraction, and values not in shortest repr
@@ -199,6 +198,22 @@ class TestRunCommand:
         assert rc == 2
         assert "cannot write" in capsys.readouterr().err
         assert (tmp_path / "file.txt").read_text() == "x\n"
+        assert self.staging_dirs(tmp_path) == []
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("output", ["corpus", "corpus/../corpus", "link"])
+    def test_output_into_its_own_corpus_exits_1(self, tmp_path, capsys, workers, output):
+        """Each score file would replace the series file it scores, and the
+        next run on the corpus would find score files."""
+        corpus, _ = make_corpus(tmp_path)
+        (tmp_path / "link").symlink_to(corpus)
+        before = {p.name: p.read_bytes() for p in corpus.iterdir()}
+        rc = main(["run", "--corpus", str(corpus), "--output", str(tmp_path / output),
+                   "--detector", "null", "--seed", "1", "--workers", workers])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "is the corpus directory" in err
+        assert {p.name: p.read_bytes() for p in corpus.iterdir()} == before
         assert self.staging_dirs(tmp_path) == []
 
     def test_run_memory_does_not_grow_with_the_corpus(self, tmp_path):
@@ -405,10 +420,9 @@ class TestRunEchoesSeriesRows:
                      "--detector", detector, "--seed", "1"]) == 0
         for path in sorted(corpus.glob("*.csv")):
             series = read_series(path)
-            pairs = [(EPOCH + timedelta(microseconds=t), v)
-                     for t, v in zip(series.times.tolist(), series.values.tolist())]
             scores = read_scores(out / path.name).scores.tolist()
-            write_scores(tmp_path / "ref.csv", pairs, scores)
+            # without rows, the writer formats the times and values anew
+            write_scores(tmp_path / "ref.csv", Columns(series.times, series.values), scores)
             assert (out / path.name).read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def non_canonical_corpus(self, root):
@@ -592,6 +606,22 @@ class TestScoreCommand:
                    "--labels", str(tmp_path / "nope.json"), "--output", str(tmp_path / "r")])
         assert rc == 2
         assert "nope.json: cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [{}, {"degradation_00.csv": []}])
+    def test_labels_without_a_window_exit_2(self, tmp_path, capsys, doc):
+        """Labels are data: with no window, the null detector and the oracle
+        score alike and there is nothing to normalize against."""
+        corpus, scores_dir = tmp_path / "corpus", tmp_path / "scores"
+        cmd_synth_generate(corpus, n_files=2, duration=8.0, sample_rate=50.0, seed=3)
+        assert main(["run", "--corpus", str(corpus), "--output", str(scores_dir),
+                     "--detector", "null"]) == 0
+        (tmp_path / "labels.json").write_text(json.dumps(doc))
+        rc = main(["score", "--scores", str(scores_dir), "--labels",
+                   str(tmp_path / "labels.json"), "--output", str(tmp_path / "results")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "no scored file has an anomaly window" in err
+        assert not (tmp_path / "results").exists()
 
     def test_table_printed(self, tmp_path, capsys):
         self.run_and_score(tmp_path, "null")

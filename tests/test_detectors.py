@@ -11,7 +11,7 @@ from htmpm.detectors import (_HTM_SETTINGS, DetectorConfig, HtmDetector,
                              WindowedGaussianDetector, build_detector,
                              run_file)
 from htmpm.errors import DataError, StreamError, ValidationError
-from htmpm.series import read_series, write_series
+from records import as_columns
 
 T0 = datetime(2021, 1, 1)
 
@@ -286,19 +286,19 @@ class TestBuildDetector:
 
 class TestRunFile:
     def test_score_count_and_training_suppression(self):
-        recs = series(range(100))
+        recs = as_columns(series(range(100)))
         scores = run_file(DetectorConfig("null", {}), recs, train_fraction=0.15)
         assert len(scores) == 100
         assert scores[:15] == [0.0] * 15
         assert scores[15:] == [0.5] * 85
 
     def test_zero_train_fraction_scores_everything(self):
-        recs = series(range(10))
+        recs = as_columns(series(range(10)))
         scores = run_file(DetectorConfig("null", {}), recs, train_fraction=0.0)
         assert scores == [0.5] * 10
 
     def test_calibration_never_sees_the_scored_stream(self):
-        recs = series(range(10))
+        recs = as_columns(series(range(10)))
         with pytest.raises(ValidationError):
             run_file(DetectorConfig("htm_hd", {"n_columns": 64, "k_active": 4}),
                      recs, train_fraction=0.0)
@@ -306,44 +306,38 @@ class TestRunFile:
             run_file(DetectorConfig("threshold", {}), recs, train_fraction=0.05)
 
     def test_zero_train_fraction_with_explicit_calibration(self):
-        recs = series(range(10))
+        recs = as_columns(series(range(10)))
         scores = run_file(DetectorConfig("threshold", {"threshold": 4.5}), recs,
                           train_fraction=0.0)
         assert scores == [0.0] * 5 + [1.0] * 5
 
     def test_empty_series_rejected(self):
         with pytest.raises(DataError):
-            run_file(DetectorConfig("null", {}), [])
+            run_file(DetectorConfig("null", {}), as_columns([]))
 
     def test_out_of_order_timestamps_rejected(self):
         recs = series(range(5))
         recs[3] = (recs[1][0] - timedelta(seconds=1), 0.0)
         with pytest.raises(StreamError):
-            run_file(DetectorConfig("null", {}), recs)
+            run_file(DetectorConfig("null", {}), as_columns(recs))
 
     def test_out_of_order_pairs_name_the_record(self):
         recs = series(range(5))
         recs[3] = (recs[1][0] - timedelta(seconds=1), 0.0)
         with pytest.raises(StreamError, match="out of order at record 3"):
-            run_file(DetectorConfig("null", {}), recs)
-
-    def test_columns_score_as_their_pairs(self, tmp_path):
-        recs = series([0, 5, 9, 2, 7, 4] * 10)
-        write_series(tmp_path / "s.csv", recs)
-        cfg = DetectorConfig("windowed_gaussian", {"window": 12})
-        assert run_file(cfg, read_series(tmp_path / "s.csv")) == run_file(cfg, recs)
+            run_file(DetectorConfig("null", {}), as_columns(recs))
 
     def test_bad_train_fraction_rejected(self):
         with pytest.raises(ValidationError):
-            run_file(DetectorConfig("null", {}), series([1.0]), train_fraction=1.0)
+            run_file(DetectorConfig("null", {}), as_columns(series([1.0])), train_fraction=1.0)
 
     def test_seeded_rerun_is_identical(self):
-        recs = series([0, 5, 9, 2, 7, 4] * 30)
+        recs = as_columns(series([0, 5, 9, 2, 7, 4] * 30))
         cfg = DetectorConfig("htm_hd", {}, seed=13)
         assert run_file(cfg, recs) == run_file(cfg, recs)
 
     def test_scores_within_unit_interval(self):
-        recs = series([0, 5, 9, 2, 7, 4] * 20)
+        recs = as_columns(series([0, 5, 9, 2, 7, 4] * 20))
         for kind in ("htm_hd", "htm_raw", "windowed_gaussian", "threshold"):
             scores = run_file(DetectorConfig(kind, {}, seed=1), recs)
             assert all(0.0 <= s <= 1.0 for s in scores)

@@ -1,7 +1,9 @@
 """Benchmark scoring: windows, positional sigmoid, threshold sweep.
 
 ``score_run`` below scores one file at one threshold by direct scans: the
-brute-force reference that the scorer's sweep is tested against.
+brute-force reference that the scorer's sweep is tested against. The
+fixtures and references keep (datetime, score) pairs; ``columns`` and
+``stamps`` give the scorer the same streams as the columns it takes.
 """
 
 import hashlib
@@ -9,7 +11,6 @@ import math
 import random
 from datetime import datetime, timedelta
 
-import numpy as np
 import pytest
 
 from htmpm.cli import main
@@ -18,6 +19,7 @@ from htmpm.nab import (LOW_FN, LOW_FP, PROFILES, STANDARD, AnomalyWindow,
                        ScoringProfile, benchmark, make_windows, normalize,
                        null_outputs, optimize_threshold, oracle_outputs,
                        sigma)
+from records import as_columns
 
 T0 = datetime(2021, 1, 1)
 UNIT = ScoringProfile("unit", a_tp=1.0, a_fp=0.0, a_fn=-1.0)
@@ -29,6 +31,22 @@ def ts(minutes):
 
 def timeline(n, step_minutes=1):
     return [ts(i * step_minutes) for i in range(n)]
+
+
+def columns(outputs):
+    """(datetime, score) streams as the scorer's (times, scores) columns."""
+    converted = {name: as_columns(output) for name, output in outputs.items()}
+    return {name: (c.times, c.values) for name, c in converted.items()}
+
+
+def stamps(times_by_file):
+    """Each file's datetimes as the scorer's int64 microsecond column."""
+    return {name: as_columns([(t, 0.0) for t in times]).times
+            for name, times in times_by_file.items()}
+
+
+def as_lists(streams):
+    return {name: (times.tolist(), scores.tolist()) for name, (times, scores) in streams.items()}
 
 
 def contains(window, t):
@@ -270,7 +288,7 @@ def random_corpus(rng):
 
 class TestOptimizeThreshold:
     def single_file(self, output, windows):
-        return {"f.csv": output}, {"f.csv": windows}
+        return columns({"f.csv": output}), {"f.csv": windows}
 
     def test_silent_detector_misses_everything_at_threshold_one(self):
         windows = [AnomalyWindow(ts(10), ts(20)), AnomalyWindow(ts(50), ts(60))]
@@ -308,7 +326,7 @@ class TestOptimizeThreshold:
                                      (times[0], times[-1]), 0.10)
         for profile in (STANDARD, LOW_FP, LOW_FN, UNIT):
             best_thr, best_raw = brute_force_optimum(outputs, wbf, profile)
-            thr, raw = optimize_threshold(outputs, wbf, profile)
+            thr, raw = optimize_threshold(columns(outputs), wbf, profile)
             assert thr == pytest.approx(best_thr)
             assert raw == pytest.approx(best_raw, abs=1e-9)
 
@@ -322,7 +340,7 @@ class TestSweepMatchesBruteForce:
             outputs, wbf = random_corpus(rng)
             for profile in self.PROFILES:
                 best_thr, best_raw = brute_force_optimum(outputs, wbf, profile)
-                thr, raw = optimize_threshold(outputs, wbf, profile)
+                thr, raw = optimize_threshold(columns(outputs), wbf, profile)
                 assert thr == best_thr
                 assert raw == pytest.approx(best_raw, abs=1e-9)
 
@@ -331,7 +349,8 @@ class TestSweepMatchesBruteForce:
         for _ in range(60):
             outputs, wbf = random_corpus(rng)
             times = {n: [t for t, _ in o] for n, o in outputs.items()}
-            assert oracle_outputs(times, wbf) == brute_force_oracle(times, wbf)
+            assert (as_lists(oracle_outputs(stamps(times), wbf))
+                    == as_lists(columns(brute_force_oracle(times, wbf))))
 
     def test_benchmark(self):
         rng = random.Random(1)
@@ -342,10 +361,11 @@ class TestSweepMatchesBruteForce:
                 continue  # no windows: the normalization bounds coincide
             times = {n: [t for t, _ in o] for n, o in outputs.items()}
             oracle = brute_force_oracle(times, wbf)
-            results = benchmark("x", outputs, wbf, self.PROFILES)
+            null = {n: [(t, 0.5) for t in ts] for n, ts in times.items()}
+            results = benchmark("x", columns(outputs), wbf, self.PROFILES)
             for r, profile in zip(results, self.PROFILES):
                 thr, raw = brute_force_optimum(outputs, wbf, profile)
-                _, null_raw = brute_force_optimum(null_outputs(times), wbf, profile)
+                _, null_raw = brute_force_optimum(null, wbf, profile)
                 _, perfect_raw = brute_force_optimum(oracle, wbf, profile)
                 assert r.optimized_threshold == thr
                 assert r.raw_score == pytest.approx(raw, abs=1e-9)
@@ -353,28 +373,10 @@ class TestSweepMatchesBruteForce:
                     normalize(raw, null_raw, perfect_raw), abs=1e-9)
             checked += 1
 
-    def test_columns_score_as_pairs(self):
-        """(int64 microseconds, float64 scores) columns, as read_scores
-        gives, score exactly as the same streams given as pairs."""
-        def outcome(outputs, wbf):
-            try:
-                return benchmark("x", outputs, wbf, self.PROFILES)
-            except ValidationError as exc:
-                return str(exc)
-
-        rng = random.Random(2)
-        epoch, micro = datetime(1970, 1, 1), timedelta(microseconds=1)
-        for _ in range(40):
-            outputs, wbf = random_corpus(rng)
-            columns = {n: (np.array([(t - epoch) // micro for t, _ in o], dtype=np.int64),
-                           np.array([s for _, s in o]))
-                       for n, o in outputs.items()}
-            assert outcome(columns, wbf) == outcome(outputs, wbf)
-
 
 class TestWindowsMustBeDisjoint:
     def corpus(self, windows):
-        return {"f.csv": [(t, 0.5) for t in timeline(40)]}, {"f.csv": windows}
+        return columns({"f.csv": [(t, 0.5) for t in timeline(40)]}), {"f.csv": windows}
 
     @pytest.mark.parametrize("start", [15, 20])
     def test_overlapping_windows_rejected(self, start):
@@ -385,7 +387,7 @@ class TestWindowsMustBeDisjoint:
         with pytest.raises(ValidationError, match="overlap"):
             benchmark("x", outputs, wbf, [STANDARD])
         with pytest.raises(ValidationError, match="overlap"):
-            oracle_outputs({"f.csv": timeline(40)}, wbf)
+            oracle_outputs(stamps({"f.csv": timeline(40)}), wbf)
 
     def test_adjacent_windows_accepted(self):
         outputs, wbf = self.corpus([AnomalyWindow(ts(10), ts(20)),
@@ -394,8 +396,10 @@ class TestWindowsMustBeDisjoint:
 
 
 class TestScoreGolden:
-    # sha256 of this corpus's results.json; scoring changes must keep it byte-identical
+    # sha256 of this corpus's results.json and windows.json; scoring changes
+    # must keep both byte-identical
     RESULTS_SHA256 = "c0eede13e2a69e2e16c1a2c95498cc9409d495b284f0e8b5d153b277c523ec4d"
+    WINDOWS_SHA256 = "b2c0ab7c7c7551001f00a87bcacb6d5f56ef4095b4ee865515a90669abb1e429"
 
     def test_results_json_unchanged(self, tmp_path):
         corpus, scores, results = (tmp_path / d for d in ("corpus", "scores", "results"))
@@ -410,6 +414,8 @@ class TestScoreGolden:
                      "--output", str(results)]) == 0
         digest = hashlib.sha256((results / "results.json").read_bytes()).hexdigest()
         assert digest == self.RESULTS_SHA256
+        digest = hashlib.sha256((results / "windows.json").read_bytes()).hexdigest()
+        assert digest == self.WINDOWS_SHA256
 
 
 class TestNormalize:
@@ -437,7 +443,7 @@ class TestBenchmark:
             "a.csv": make_windows([ts(60), ts(140)], (ts(0), ts(199)), 0.10),
             "b.csv": make_windows([ts(100)], (ts(0), ts(199)), 0.10),
         }
-        return times, wbf
+        return stamps(times), wbf
 
     def test_oracle_normalizes_to_hundred(self):
         times, wbf = self.make_corpus()

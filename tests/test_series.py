@@ -16,19 +16,13 @@ from htmpm.series import (SCORES_HEADER, SERIES_HEADER, Columns,
                           parse_timestamp, read_columns, read_labels, read_scores, read_series,
                           write_labels, write_scores, write_series,
                           write_windows)
+from records import EPOCH, as_columns, micros
 
 T0 = datetime(2021, 3, 1, 12, 0, 0)
-EPOCH = datetime(1970, 1, 1)
 
 
 def sample_records(n=5):
     return [(T0 + timedelta(minutes=i), float(i) * 1.5) for i in range(n)]
-
-
-def micros(t):
-    if t.tzinfo is not None:
-        t = t.astimezone(timezone.utc).replace(tzinfo=None)
-    return (t - EPOCH) // timedelta(microseconds=1)
 
 
 # Line-by-line readers: the reference the column parser is tested against.
@@ -154,12 +148,6 @@ def pairs(columns):
     """``read_series``' columns as (naive UTC datetime, float) pairs."""
     return [(EPOCH + timedelta(microseconds=t), v)
             for t, v in zip(columns.times.tolist(), columns.values.tolist())]
-
-
-def as_columns(records, scores=None):
-    return Columns(np.array([micros(t) for t, _ in records], dtype=np.int64),
-                   np.array([v for _, v in records], dtype=float),
-                   None if scores is None else np.array(scores, dtype=float))
 
 
 def read_both(path, scores):
@@ -406,12 +394,13 @@ class TestColumnWriterMatchesReference:
         rng = random.Random(seed)
         records = random_records(rng, rng.randrange(1, 60))
         scores = [rng.choice(AWKWARD_SCORES + [rng.random()]) for _ in records]
-        for name, write, reference, args in [
-            ("s", write_series, reference_write_series, (records,)),
-            ("c", write_scores, reference_write_scores, (records, scores)),
+        for name, write, given, reference, args in [
+            ("s", write_series, (records,), reference_write_series, (records,)),
+            ("c", write_scores, (as_columns(records), scores),
+             reference_write_scores, (records, scores)),
         ]:
             got, want = tmp_path / f"{name}.csv", tmp_path / f"{name}_ref.csv"
-            write(got, *args)
+            write(got, *given)
             reference(want, *args)
             assert got.read_bytes() == want.read_bytes()
 
@@ -419,13 +408,9 @@ class TestColumnWriterMatchesReference:
     def test_columns_write_as_pairs(self, tmp_path, seed):
         rng = random.Random(seed)
         records = random_records(rng, rng.randrange(1, 60))
-        scores = [rng.choice(AWKWARD_SCORES) for _ in records]
         write_series(tmp_path / "a.csv", as_columns(records))
         reference_write_series(tmp_path / "b.csv", records)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-        write_scores(tmp_path / "c.csv", as_columns(records), scores)
-        reference_write_scores(tmp_path / "d.csv", records, scores)
-        assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()
 
     def test_edge_stamps(self, tmp_path):
         stamps = [datetime(1, 1, 1), datetime(1, 1, 1, 0, 0, 0, 1), datetime(1969, 12, 31, 23, 59, 59),
@@ -440,9 +425,9 @@ class TestColumnWriterMatchesReference:
     def test_empty_records(self, tmp_path):
         for records in ([], as_columns([])):
             write_series(tmp_path / "a.csv", records)
-            write_scores(tmp_path / "b.csv", records, [])
             assert (tmp_path / "a.csv").read_text() == SERIES_HEADER + "\n"
-            assert (tmp_path / "b.csv").read_text() == SCORES_HEADER + "\n"
+        write_scores(tmp_path / "b.csv", as_columns([]), [])
+        assert (tmp_path / "b.csv").read_text() == SCORES_HEADER + "\n"
 
 
 class TestWriterRefusesUnreadableRecords:
@@ -454,17 +439,18 @@ class TestWriterRefusesUnreadableRecords:
     def test_non_finite_value(self, tmp_path, value, message):
         records = sample_records(4)
         records[2] = (records[2][0], value)
-        for write in (lambda r: write_series(tmp_path / "x.csv", r),
-                      lambda r: write_scores(tmp_path / "x.csv", r, [0.5] * 4)):
-            for given in (records, as_columns(records)):
-                with pytest.raises(DataError, match=re.escape(message)):
-                    write(given)
-                assert not (tmp_path / "x.csv").exists()
+        path = tmp_path / "x.csv"
+        for write in (lambda: write_series(path, records),
+                      lambda: write_series(path, as_columns(records)),
+                      lambda: write_scores(path, as_columns(records), [0.5] * 4)):
+            with pytest.raises(DataError, match=re.escape(message)):
+                write()
+            assert not path.exists()
 
     @pytest.mark.parametrize("score", [1.5, -0.5, float("nan"), float("inf")])
     def test_score_outside_unit_interval(self, tmp_path, score):
         with pytest.raises(DataError, match=re.escape(f"x.csv: record 1: score {score!r} outside [0, 1]")):
-            write_scores(tmp_path / "x.csv", sample_records(3), [0.0, score, 0.5])
+            write_scores(tmp_path / "x.csv", as_columns(sample_records(3)), [0.0, score, 0.5])
         assert not (tmp_path / "x.csv").exists()
 
     def test_out_of_order(self, tmp_path):
@@ -507,6 +493,7 @@ class TestWriterRefusesUnreadableRecords:
             elif fault == 2:
                 record_scores[i] = rng.choice([1.5, -0.25, float("nan")])
             args = (records, record_scores) if scores else (records,)
+            given = (as_columns(records), record_scores) if scores else args
             write, reference, read = ((write_scores, reference_write_scores, read_scores) if scores
                                       else (write_series, reference_write_series, read_series))
             reference(tmp_path / "ref.csv", *args)
@@ -514,11 +501,11 @@ class TestWriterRefusesUnreadableRecords:
                 read(tmp_path / "ref.csv")
             except DataError as exc:
                 with pytest.raises(type(exc)) as refused:
-                    write(tmp_path / "x.csv", *args)
+                    write(tmp_path / "x.csv", *given)
                 assert f"x.csv: record {int(str(exc).split(':')[1]) - 2}:" in str(refused.value)
                 assert not (tmp_path / "x.csv").exists()
             else:
-                write(tmp_path / "x.csv", *args)
+                write(tmp_path / "x.csv", *given)
                 assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
                 (tmp_path / "x.csv").unlink()
 
@@ -527,7 +514,7 @@ class TestScores:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "scores.csv"
         records = sample_records(3)
-        write_scores(path, records, [0.0, 0.25, 1.0])
+        write_scores(path, as_columns(records), [0.0, 0.25, 1.0])
         columns = read_scores(path)
         assert len(columns) == 3
         assert columns.times.tolist() == [micros(t) for t, _ in records]
@@ -537,7 +524,7 @@ class TestScores:
 
     def test_length_mismatch_rejected(self, tmp_path):
         with pytest.raises(DataError):
-            write_scores(tmp_path / "x.csv", sample_records(3), [0.5])
+            write_scores(tmp_path / "x.csv", as_columns(sample_records(3)), [0.5])
 
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -555,7 +542,7 @@ class TestScores:
 
     def test_equal_timestamps_accepted(self, tmp_path):
         path = tmp_path / "s.csv"
-        write_scores(path, [(T0, 1.0), (T0, 2.0)], [0.5, 0.5])
+        write_scores(path, as_columns([(T0, 1.0), (T0, 2.0)]), [0.5, 0.5])
         assert read_scores(path).times.tolist() == [micros(T0)] * 2
 
     @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "1.5", "-0.5"])
@@ -619,7 +606,7 @@ class TestReadColumns:
 
     def test_score_file(self, tmp_path):
         path = tmp_path / "s.csv"
-        write_scores(path, sample_records(2), [0.0, 1.0])
+        write_scores(path, as_columns(sample_records(2)), [0.0, 1.0])
         assert read_columns(path).scores.tolist() == [0.0, 1.0]
 
     def test_score_header_checked(self, tmp_path):
