@@ -6,21 +6,30 @@ The likelihood compares the short-term mean of recent raw scores against
 the distribution of the full (bounded) score history under a Gaussian
 model: L = Phi((mu_short - mu) / sigma), with sigma floored at
 ``EPSILON_SIGMA`` so that a flat history gives 0.5.
+
+``update_likelihood`` runs once per record, so it is straight-line float
+code: locals for the running sums, compares in place of ``max``, and
+``gaussian_cdf`` written out with a module constant for sqrt(2). It
+computes the same IEEE operations in the same order as the formula, so
+every likelihood is bit-identical to it (``tests/test_anomaly.py`` keeps
+the formula as the oracle).
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from math import erf, sqrt
 
 from .errors import ValidationError
 
 # the floor of the history's standard deviation
 EPSILON_SIGMA = 1e-6
+_SQRT2 = math.sqrt(2.0)
 
 
 def gaussian_cdf(z: float) -> float:
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+    return 0.5 * (1.0 + erf(z / _SQRT2))
 
 
 class LikelihoodState:
@@ -51,23 +60,35 @@ def update_likelihood(raw: float, st: LikelihoodState) -> float:
     """
     if not 0.0 <= raw <= 1.0:
         raise ValidationError(f"raw score must be in [0, 1], got {raw}")
-    st.history.append(raw)
-    st._sum += raw
-    st._sumsq += raw * raw
-    if len(st.history) > st.capacity:
-        old = st.history.popleft()
-        st._sum -= old
-        st._sumsq -= old * old
-    st._short.append(raw)
-    st._short_sum += raw
-    if len(st._short) > st.short_window:
-        st._short_sum -= st._short.popleft()
-    n = len(st.history)
-    if n < st.short_window:
+    history = st.history
+    n = len(history)
+    history.append(raw)
+    total = st._sum + raw
+    total_sq = st._sumsq + raw * raw
+    if n >= st.capacity:
+        old = history.popleft()
+        total -= old
+        total_sq -= old * old
+    else:
+        n += 1
+    st._sum = total
+    st._sumsq = total_sq
+    short_window = st.short_window
+    short = st._short
+    short.append(raw)
+    short_total = st._short_sum + raw
+    if len(short) > short_window:
+        short_total -= short.popleft()
+    st._short_sum = short_total
+    if n < short_window:
         return 0.5
-    mu = st._sum / n
-    var = max(st._sumsq / n - mu * mu, 0.0)
-    sigma = max(math.sqrt(var), EPSILON_SIGMA)
-    mu_short = st._short_sum / st.short_window
-    return gaussian_cdf((mu_short - mu) / sigma)
-
+    mu = total / n
+    var = total_sq / n - mu * mu
+    # as max(var, 0.0) and max(sigma, EPSILON_SIGMA): -0.0 and nan stay
+    if var < 0.0:
+        var = 0.0
+    sigma = sqrt(var)
+    if sigma < EPSILON_SIGMA:
+        sigma = EPSILON_SIGMA
+    # gaussian_cdf((mu_short - mu) / sigma)
+    return 0.5 * (1.0 + erf((short_total / short_window - mu) / sigma / _SQRT2))

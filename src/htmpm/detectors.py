@@ -20,6 +20,13 @@ its parser; a setting that is not given takes the layer's own default, so
 each default is written once, in its layer. The HTM encoder's
 ``value_min`` and ``value_max`` come together or not at all; without them
 the encoder calibrates on the training prefix.
+
+``WindowedGaussianDetector.step`` runs once per record, so it is
+straight-line float code: locals for the running sums, compares in place
+of ``max`` and a module constant for sqrt(2). It computes the IEEE
+operations of the formula in its docstring in the same order, so its
+scores are bit-identical to the formula's (``tests/test_detectors.py``
+keeps the formula as the oracle).
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import numbers
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from math import erf, sqrt
 
 from .anomaly import LikelihoodState, update_likelihood
 from .encoder import N_BITS, W_ACTIVE, ScalarEncoderConfig, calibrated_config, encode
@@ -39,6 +47,8 @@ from .temporal_memory import TemporalMemory
 
 DETECTOR_KINDS = ("htm_hd", "htm_raw", "windowed_gaussian", "threshold",
                   "random", "null")
+
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -190,7 +200,10 @@ class ThresholdDetector:
 
 class WindowedGaussianDetector:
     """Score = 1 minus the two-sided Gaussian tail probability of the value
-    against the mean/stdev of a sliding window of preceding values."""
+    against the mean/stdev of a sliding window of preceding values:
+    erf(|value - mu| / sigma / sqrt(2)), with the variance
+    sumsq / n - mu**2 clamped at 0, sigma floored at 1e-9, and 0.5 while
+    fewer than two values precede."""
 
     def __init__(self, window: int = 6000):
         window = _integer("window", window)
@@ -205,22 +218,31 @@ class WindowedGaussianDetector:
         pass
 
     def step(self, timestamp, value) -> float:
-        n = len(self._values)
+        values = self._values
+        n = len(values)
+        total = self._sum
+        total_sq = self._sumsq
         if n >= 2:
-            mu = self._sum / n
-            var = max(self._sumsq / n - mu * mu, 0.0)
-            sigma = max(math.sqrt(var), 1e-9)
-            z = abs(value - mu) / sigma
-            score = math.erf(z / math.sqrt(2.0))
+            mu = total / n
+            var = total_sq / n - mu * mu
+            # as max(var, 0.0) and max(sigma, 1e-9): -0.0 and nan stay
+            if var < 0.0:
+                var = 0.0
+            sigma = sqrt(var)
+            if sigma < 1e-9:
+                sigma = 1e-9
+            score = erf(abs(value - mu) / sigma / _SQRT2)
         else:
             score = 0.5
-        self._values.append(value)
-        self._sum += value
-        self._sumsq += value * value
-        if len(self._values) > self.window:
-            old = self._values.popleft()
-            self._sum -= old
-            self._sumsq -= old * old
+        values.append(value)
+        total += value
+        total_sq += value * value
+        if n >= self.window:
+            old = values.popleft()
+            total -= old
+            total_sq -= old * old
+        self._sum = total
+        self._sumsq = total_sq
         return score
 
 

@@ -10,16 +10,26 @@ Stateless and deterministic.
 every layer of the HTM pipeline reads: the spatial pooler gathers its
 connection rows with it, and its own output is again an index array that
 the temporal memory reads. ``sdr.Sdr`` stays the type of the SDR-math API.
+Every bucket's block is a read-only row of one table per
+``(n_bits, w_active)``, built on first use, so ``encode`` makes no array.
+
+``encode`` runs once per record, so it is straight-line float code: two
+compares clip the value and ``n_buckets`` is read once. The bucket comes
+from the same IEEE operations in the same order as the formula in its
+docstring, so every value lands in the same block as by the formula
+(``tests/test_encoder.py`` keeps the formula as the oracle).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ValidationError
+from .errors import DataError, ValidationError
 
 # the HTM detector's encoder size: n_bits and w_active when none are given
 N_BITS = 400
@@ -48,6 +58,12 @@ class ScalarEncoderConfig:
             raise ValidationError(
                 f"need value_min < value_max, got [{self.value_min}, {self.value_max}]"
             )
+        # an infinite width would encode every finite value to bucket 0
+        if not math.isfinite(self.value_max - self.value_min):
+            raise ValidationError(
+                f"value_max - value_min must be finite, got "
+                f"[{self.value_min}, {self.value_max}]"
+            )
 
     @property
     def n_buckets(self) -> int:
@@ -59,21 +75,37 @@ def resolution(cfg: ScalarEncoderConfig) -> float:
     return (cfg.value_max - cfg.value_min) / (cfg.n_bits - cfg.w_active)
 
 
+@functools.cache
+def _blocks(n_bits: int, w_active: int) -> list[np.ndarray]:
+    """Row b is bucket b's block b..b+w_active-1, a read-only intp view."""
+    return list(sliding_window_view(np.arange(n_bits, dtype=np.intp), w_active))
+
+
 def encode(value: float, cfg: ScalarEncoderConfig) -> np.ndarray:
     """Map a scalar to the sorted indices of exactly w_active contiguous
-    active bits out of n_bits.
+    active bits out of n_bits, as a read-only array.
 
     Monotone: larger values shift the block rightward. value_min maps to
     bits {0..w-1}, value_max to the rightmost block; values outside the
-    range clip to it.
+    range clip to it. The block starts at bucket
+    int((value - value_min) / (value_max - value_min) * (n_buckets - 1) + 0.5),
+    capped at n_buckets - 1.
     """
     if not math.isfinite(value):
         raise ValidationError(f"cannot encode non-finite value {value!r}")
-    value = min(max(value, cfg.value_min), cfg.value_max)
-    span = cfg.value_max - cfg.value_min
-    bucket = int((value - cfg.value_min) / span * (cfg.n_buckets - 1) + 0.5)
-    bucket = min(bucket, cfg.n_buckets - 1)
-    return np.arange(bucket, bucket + cfg.w_active)
+    lo = cfg.value_min
+    hi = cfg.value_max
+    # as min(max(value, lo), hi)
+    if value < lo:
+        value = lo
+    if hi < value:
+        value = hi
+    rows = _blocks(cfg.n_bits, cfg.w_active)
+    n_buckets = len(rows)
+    bucket = int((value - lo) / (hi - lo) * (n_buckets - 1) + 0.5)
+    if bucket >= n_buckets:
+        bucket = n_buckets - 1
+    return rows[bucket]
 
 
 def calibrated_config(
@@ -91,9 +123,12 @@ def calibrated_config(
         pad = max(abs(lo), 1.0)
         lo, hi = lo - pad, hi + pad
     span = hi - lo
+    value_min, value_max = lo - MARGIN * span, hi + MARGIN * span
+    if not math.isfinite(value_max - value_min):
+        raise DataError(
+            f"the training prefix's range [{min(values)}, {max(values)}] with its margins "
+            f"overflows float64; give value_min and value_max"
+        )
     return ScalarEncoderConfig(
-        n_bits=n_bits,
-        w_active=w_active,
-        value_min=lo - MARGIN * span,
-        value_max=hi + MARGIN * span,
+        n_bits=n_bits, w_active=w_active, value_min=value_min, value_max=value_max,
     )

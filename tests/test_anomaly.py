@@ -5,10 +5,13 @@ next to the test that checks ``TemporalMemory.step`` against it.
 """
 
 import math
+import random
+from collections import deque
 
 import pytest
 
-from htmpm.anomaly import LikelihoodState, gaussian_cdf, update_likelihood
+from htmpm.anomaly import (EPSILON_SIGMA, LikelihoodState, gaussian_cdf,
+                           update_likelihood)
 from htmpm.errors import ValidationError
 
 from test_temporal_memory import raw_anomaly_score
@@ -115,3 +118,65 @@ class TestUpdateLikelihood:
         mu_s = sum(hist[-5:]) / 5
         assert out == pytest.approx(gaussian_cdf((mu_s - mu) / sigma), rel=1e-6)
 
+
+
+def likelihood_reference(raws, capacity, short_window):
+    """The likelihoods by the formula, one builtin call at a time: the
+    oracle ``update_likelihood`` must match bit for bit. Also returns how
+    many likelihoods floored sigma at EPSILON_SIGMA."""
+    history, total, total_sq = deque(), 0.0, 0.0
+    short, short_total = deque(), 0.0
+    out, floored = [], 0
+    for raw in raws:
+        history.append(raw)
+        total += raw
+        total_sq += raw * raw
+        if len(history) > capacity:
+            old = history.popleft()
+            total -= old
+            total_sq -= old * old
+        short.append(raw)
+        short_total += raw
+        if len(short) > short_window:
+            short_total -= short.popleft()
+        n = len(history)
+        if n < short_window:
+            out.append(0.5)
+            continue
+        mu = total / n
+        var = max(total_sq / n - mu * mu, 0.0)
+        floored += math.sqrt(var) < EPSILON_SIGMA
+        sigma = max(math.sqrt(var), EPSILON_SIGMA)
+        mu_short = short_total / short_window
+        out.append(0.5 * (1.0 + math.erf((mu_short - mu) / sigma / math.sqrt(2.0))))
+    return out, floored
+
+
+class TestLikelihoodBits:
+    """``update_likelihood`` computes the same IEEE operations in the same
+    order as ``likelihood_reference``: every likelihood has the same bits."""
+
+    @staticmethod
+    def check(raws, capacity, short_window):
+        st = LikelihoodState(capacity=capacity, short_window=short_window)
+        got = [update_likelihood(raw, st).hex() for raw in raws]
+        expected, floored = likelihood_reference(raws, capacity, short_window)
+        assert got == [x.hex() for x in expected]
+        return floored
+
+    def test_warm_up(self):
+        self.check([0.8, 0.0, 1.0, 0.25], capacity=50, short_window=5)
+
+    def test_flat_history_floors_sigma(self):
+        assert self.check([0.25] * 60 + [0.3, 0.25, 1.0], capacity=40,
+                          short_window=10) >= 50
+        assert self.check([0.0] * 30 + [1.0] * 30, capacity=20, short_window=3) >= 10
+
+    @pytest.mark.parametrize("capacity, short_window", [(40, 5), (10, 10), (7, 1)])
+    def test_capacity_eviction(self, capacity, short_window):
+        rng = random.Random(capacity)
+        # raw scores as the TM gives them, a share of 40 active columns,
+        # and arbitrary fractions
+        raws = [rng.randrange(41) / 40 for _ in range(200)]
+        raws += [rng.random() for _ in range(200)] + [-0.0, 1.0, 0.0]
+        self.check(raws, capacity, short_window)

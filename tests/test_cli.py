@@ -352,6 +352,37 @@ class TestRunCommand:
         assert rc == 0
         assert len(read_scores(tmp_path / "out" / "series_0.csv")) == 60
 
+    def test_encoder_range_wider_than_float64_exits_1(self, tmp_path, capsys):
+        # the width of [-1e308, 1e308] overflows to inf, which would encode
+        # every value to the first block
+        corpus, _ = make_corpus(tmp_path, n_files=1)
+        out = tmp_path / "out"
+        rc = main(["run", "--corpus", str(corpus), "--output", str(out),
+                   "--detector", "htm_hd", "--param", "value_min=-1e308",
+                   "--param", "value_max=1e308"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "value_max - value_min" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_training_range_wider_than_float64_exits_2(self, tmp_path, capsys, workers):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        values = [1.0] * 60
+        values[2], values[5] = 1e308, -1e308
+        write_series(corpus / "series_0.csv",
+                     [(T0 + timedelta(minutes=j), v) for j, v in enumerate(values)])
+        out = tmp_path / "out"
+        rc = main(["run", "--corpus", str(corpus), "--output", str(out),
+                   "--detector", "htm_hd", "--workers", workers])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("data error: ") and "training prefix" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exit_1(self, tmp_path, capsys, workers):
         corpus, _ = make_corpus(tmp_path, n_files=1)

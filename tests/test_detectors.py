@@ -1,6 +1,9 @@
 """Streaming detector contract and the baseline implementations."""
 
+import hashlib
 import math
+import random
+from collections import deque
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -10,6 +13,7 @@ from htmpm.detectors import (_HTM_SETTINGS, DetectorConfig, HtmDetector,
                              NullDetector, RandomDetector, ThresholdDetector,
                              WindowedGaussianDetector, build_detector,
                              run_file)
+from htmpm.cli import main
 from htmpm.errors import DataError, StreamError, ValidationError
 from records import as_columns
 
@@ -149,6 +153,96 @@ class TestWindowedGaussian:
     def test_window_too_small_rejected(self):
         with pytest.raises(ValidationError):
             WindowedGaussianDetector(window=1)
+
+
+def windowed_gaussian_reference(values, window):
+    """The detector's scores by its formula, one builtin call at a time:
+    the oracle its step must match bit for bit. Also returns how many
+    scored records had their variance clamped to 0 and their sigma
+    floored at 1e-9."""
+    kept, total, total_sq = deque(), 0.0, 0.0
+    scores, clamped, floored = [], 0, 0
+    for value in values:
+        n = len(kept)
+        if n >= 2:
+            mu = total / n
+            clamped += total_sq / n - mu * mu < 0.0
+            var = max(total_sq / n - mu * mu, 0.0)
+            floored += math.sqrt(var) < 1e-9
+            sigma = max(math.sqrt(var), 1e-9)
+            z = abs(value - mu) / sigma
+            scores.append(math.erf(z / math.sqrt(2.0)))
+        else:
+            scores.append(0.5)
+        kept.append(value)
+        total += value
+        total_sq += value * value
+        if len(kept) > window:
+            old = kept.popleft()
+            total -= old
+            total_sq -= old * old
+    return scores, clamped, floored
+
+
+class TestWindowedGaussianBits:
+    """The step computes the same IEEE operations in the same order as
+    ``windowed_gaussian_reference``: every score has the same bits."""
+
+    @staticmethod
+    def check(values, window):
+        det = WindowedGaussianDetector(window=window)
+        got = [det.step(i, v).hex() for i, v in enumerate(values)]
+        expected, clamped, floored = windowed_gaussian_reference(values, window)
+        assert got == [s.hex() for s in expected]
+        return clamped, floored
+
+    def test_first_two_records(self):
+        self.check([3.0, -1.0], window=10)
+        self.check([-0.0], window=2)
+
+    def test_flat_window_floors_sigma(self):
+        # the variance is exactly 0, so sigma is the 1e-9 floor; the last
+        # values leave the flat level by less and by more than the floor
+        values = [2.5] * 50 + [2.5 + 1e-15, 2.5 - 4e-9, 2.5, 7.0]
+        clamped, floored = self.check(values, window=20)
+        assert floored >= 48
+
+    def test_cancellation_clamps_the_variance(self):
+        # at a 1e8 offset sumsq / n - mu**2 cancels to a negative number on
+        # most steps, so the clamp to 0 runs
+        values = (1e8 + np.random.default_rng(0).standard_normal(2000)).tolist()
+        clamped, floored = self.check(values, window=6000)
+        assert clamped > 1000 and floored > 1000
+
+    @pytest.mark.parametrize("window", [2, 3, 17])
+    def test_eviction_past_the_window(self, window):
+        rng = random.Random(window)
+        values = [rng.uniform(-5.0, 5.0) for _ in range(300)]
+        values += [-0.0, 0.0, 1e-300, -1e-300, 40.0, 0.5]
+        self.check(values, window)
+
+
+class TestWindowedGaussianScoresGolden:
+    # sha256 of each windowed_gaussian score CSV for this corpus, with a
+    # window shorter than its 1000-record files; the detector's step must
+    # keep them byte-identical
+    SCORES_SHA256 = {
+        "degradation_00.csv": "d1eb9cef9d78d6849fda805d966b719067170129e3e3df4e1363087eda7feff0",
+        "degradation_01.csv": "196b93d245b0c038d84f7c32ad62f111092cb8c92c9e730a202ae812809c3bb1",
+        "degradation_02.csv": "f4117a19a98cb6bb27be862efecaac3ace347a0d0356e19232dbc9c19338b747",
+    }
+
+    def test_scores_unchanged(self, tmp_path):
+        corpus, scores = tmp_path / "corpus", tmp_path / "scores"
+        assert main(["synth", "--mode", "generate", "--output", str(corpus),
+                     "--files", "3", "--duration", "20", "--sample-rate", "50",
+                     "--seed", "5"]) == 0
+        assert main(["run", "--corpus", str(corpus), "--output", str(scores),
+                     "--detector", "windowed_gaussian", "--seed", "1",
+                     "--param", "window=200"]) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in sorted(scores.glob("*.csv"))}
+        assert digests == self.SCORES_SHA256
 
 
 class TestHtmDetector:
