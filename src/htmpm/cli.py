@@ -61,13 +61,17 @@ def _config_hash(cfg: RunConfig) -> str:
 
 def _run_one(args):
     """Score one series file into the staging directory; only the file's
-    name, record count and scoring time go back to the caller."""
+    name, record count and scoring time go back to the caller. An error the
+    detector raises is raised again as the same type, naming the file."""
     cfg, path, staging = args
     records = read_series(path)
     if cfg.subsample > 1:
         records = records[::cfg.subsample]
     started = time.perf_counter()
-    scores = run_file(cfg.detector, records, cfg.train_fraction)
+    try:
+        scores = run_file(cfg.detector, records, cfg.train_fraction)
+    except HtmpmError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     elapsed = time.perf_counter() - started
     write_scores(staging / path.name, records, scores)
     return path.name, len(records), elapsed
@@ -365,7 +369,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, HtmpmError) as exc:
+    except HtmpmError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     return 0

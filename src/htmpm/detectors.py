@@ -45,9 +45,6 @@ from .series import Columns
 from .spatial_pooler import SpatialPooler
 from .temporal_memory import TemporalMemory
 
-DETECTOR_KINDS = ("htm_hd", "htm_raw", "windowed_gaussian", "threshold",
-                  "random", "null")
-
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -62,7 +59,7 @@ class DetectorConfig:
             raise ValidationError(
                 f"unknown detector kind {self.kind!r}; expected one of {DETECTOR_KINDS}"
             )
-        allowed = _ALLOWED_PARAMS[self.kind]
+        allowed, _ = _DETECTORS[self.kind]
         unknown = set(self.parameters) - allowed
         if unknown:
             raise ValidationError(
@@ -126,16 +123,6 @@ _HTM_SETTINGS = {
     "likelihood_capacity": ("likelihood", "capacity", _integer),
     "likelihood_short_window": ("likelihood", "short_window", _integer),
 }
-
-_ALLOWED_PARAMS = {
-    "htm_hd": set(_HTM_SETTINGS),
-    "htm_raw": set(_HTM_SETTINGS),
-    "windowed_gaussian": {"window"},
-    "threshold": {"threshold", "feature", "rms_window", "calibration_sigmas"},
-    "random": set(),
-    "null": set(),
-}
-
 
 class NullDetector:
     def calibrate(self, values):
@@ -289,20 +276,24 @@ class HtmDetector:
         return update_likelihood(raw, self.likelihood_state) if self.use_likelihood else raw
 
 
+# each detector kind: the parameters it takes and its constructor
+_DETECTORS = {
+    "htm_hd": (set(_HTM_SETTINGS),
+               lambda cfg: HtmDetector(cfg.parameters, seed=cfg.seed, use_likelihood=True)),
+    "htm_raw": (set(_HTM_SETTINGS),
+                lambda cfg: HtmDetector(cfg.parameters, seed=cfg.seed, use_likelihood=False)),
+    "windowed_gaussian": ({"window"}, lambda cfg: WindowedGaussianDetector(**cfg.parameters)),
+    "threshold": ({"threshold", "feature", "rms_window", "calibration_sigmas"},
+                  lambda cfg: ThresholdDetector(**cfg.parameters)),
+    "random": (set(), lambda cfg: RandomDetector(seed=cfg.seed)),
+    "null": (set(), lambda cfg: NullDetector()),
+}
+DETECTOR_KINDS = tuple(_DETECTORS)
+
+
 def build_detector(cfg: DetectorConfig):
-    if cfg.kind == "null":
-        return NullDetector()
-    if cfg.kind == "random":
-        return RandomDetector(seed=cfg.seed)
-    if cfg.kind == "threshold":
-        return ThresholdDetector(**cfg.parameters)
-    if cfg.kind == "windowed_gaussian":
-        return WindowedGaussianDetector(**cfg.parameters)
-    if cfg.kind == "htm_hd":
-        return HtmDetector(cfg.parameters, seed=cfg.seed, use_likelihood=True)
-    if cfg.kind == "htm_raw":
-        return HtmDetector(cfg.parameters, seed=cfg.seed, use_likelihood=False)
-    raise ValidationError(f"unknown detector kind {cfg.kind!r}")
+    _, build = _DETECTORS[cfg.kind]
+    return build(cfg)
 
 
 def run_file(cfg: DetectorConfig, columns: Columns, train_fraction: float = 0.15) -> list[float]:

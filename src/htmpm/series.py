@@ -5,17 +5,21 @@ Series files carry the exact header ``timestamp,value``; score files carry
 UTC and stored naive; fractional seconds are preserved. Floats are written
 with shortest round-trip repr so reruns are byte-identical.
 
-Both kinds go through one column parser. It splits the whole file into
-fields at once and parses each column with one ``map``
-(``datetime.fromisoformat`` for the timestamps, ``float`` for the
-numbers); field counts, timestamps, finiteness, the score range [0, 1]
-and the timestamp order are checked a column at a time. Blank lines are
-skipped, but an error still names ``path:line`` counting them. Every
-reader returns ``Columns``: ``times`` as int64 microseconds since
-1970-01-01 (naive UTC), and ``values`` and ``scores`` as float64 arrays.
-``read_series`` also keeps ``rows``, each record's text exactly as read
-(line end stripped), which the detectors do not need but the score file
-repeats; the scorer uses ``read_scores``' columns as they are.
+Both kinds go through one parser in two phases. Phase 1, on every file,
+checks whole columns: each row's comma count (and, in a series file, that
+no field is empty), one ``map`` of ``datetime.fromisoformat`` over the
+timestamps and of ``float`` over each number column, finiteness, the
+score range [0, 1] and the timestamp order. Only a file phase 1 refuses
+goes on to phase 2, ``_refuse_first_fault``, the one place a read fault is
+worded: it reads the data lines one at a time and raises the first fault,
+checking a line's fields in the order they are read. A timestamp whose
+UTC offset carries it outside the years 1 to 9999 is a bad timestamp.
+Blank lines are skipped, but an error still names ``path:line`` counting
+them. Every reader returns ``Columns``: ``times`` as int64 microseconds
+since 1970-01-01 (naive UTC), and ``values`` and ``scores`` as float64
+arrays. ``read_series`` also keeps ``rows``, each record's text exactly as
+read (line end stripped), which the detectors do not need but the score
+file repeats; the scorer uses ``read_scores``' columns as they are.
 
 Past the readers, records are ``Columns`` and nothing else:
 ``detectors.run_file`` steps them, ``write_scores`` takes them with a
@@ -42,7 +46,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
-from itertools import compress, count, islice, repeat
+from itertools import repeat
+from math import isfinite
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
@@ -64,11 +69,13 @@ def _naive_utc(ts: datetime) -> datetime:
 
 
 def parse_timestamp(text: str) -> datetime:
+    """An ISO-8601 timestamp as a naive UTC datetime; a text that is not
+    one, or whose UTC offset carries it outside the years 1 to 9999, is a
+    data error."""
     try:
-        ts = datetime.fromisoformat(text)
-    except ValueError as exc:
+        return _naive_utc(datetime.fromisoformat(text))
+    except (ValueError, OverflowError) as exc:
         raise DataError(f"bad timestamp {text!r}: {exc}") from None
-    return _naive_utc(ts)
 
 
 def format_timestamp(ts: datetime) -> str:
@@ -131,41 +138,58 @@ def _read_text(path) -> str:
         raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from None
 
 
-class _FirstBadRow:
-    """The first bad row found so far and its fault: (exception type,
-    message template, index of the field it names). Each check runs on the
-    rows before it only, and the checks run in the order a line's fields
-    are read, so the fault kept is the one a line-by-line reader meets
-    first."""
+def _checked_columns(rows: list[str], scores: bool):
+    """Phase 1 of the parser, for every file: the rows' timestamps and
+    number columns, each parsed and checked whole, or None when any row is
+    bad."""
+    width = 3 if scores else 2
+    if set(map(str.count, rows, repeat(","))) != {width - 1}:
+        return None
+    fields = ",".join(rows).split(",")
+    if not scores and "" in fields:  # both fields of a series row are required
+        return None
+    try:
+        stamps = list(map(datetime.fromisoformat, fields[::width]))
+        if any(map(_TZINFO, stamps)):
+            stamps = list(map(_naive_utc, stamps))
+        columns = [np.array(list(map(float, fields[k::width]))) for k in range(1, width)]
+    except (ValueError, OverflowError):
+        return None
+    times = _micros(stamps)
+    good = np.isfinite(columns[0]).all() and not (times[1:] < times[:-1]).any()
+    if scores:
+        good = good and ((columns[1] >= 0.0) & (columns[1] <= 1.0)).all()
+    return (times, columns) if good else None
 
-    def __init__(self, n_rows: int):
-        self.row = n_rows
-        self.fault = None
 
-    def at(self, row, *fault) -> None:
-        if row is not None and row < self.row:
-            self.row, self.fault = row, fault
-
-    def flag(self, mask: np.ndarray, *fault) -> None:
-        """The first row whose flag in ``mask`` is set is bad."""
-        hits = np.flatnonzero(mask[:self.row])
-        self.at(int(hits[0]) if len(hits) else None, *fault)
-
-    def parse(self, parse, texts, *fault) -> list:
-        """``parse`` mapped over the texts of the rows before the first bad
-        one; the first text it rejects makes its row bad."""
-        texts = texts[:self.row]
+def _refuse_first_fault(path, lines: list[str], scores: bool) -> None:
+    """Phase 2 of the parser, for a file phase 1 refused: read the data
+    lines one at a time and raise the first fault, checking a line's fields
+    in the order they are read. The one place a read fault is worded."""
+    previous = None
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        at = f"{path}:{lineno}: "
+        fields = line.split(",")
+        if len(fields) != (3 if scores else 2) or (not scores and "" in fields):
+            raise DataError(f"{at}malformed row {line!r}")
         try:
-            return list(map(parse, texts))
+            ts = parse_timestamp(fields[0])
+        except DataError as exc:
+            raise DataError(f"{at}{exc}") from None
+        try:
+            numbers = list(map(float, fields[1:]))
         except ValueError:
-            parsed = []
-            for text in texts:  # the error path: find the rejected text
-                try:
-                    parsed.append(parse(text))
-                except ValueError:
-                    break
-            self.at(len(parsed), *fault)
-            return parsed
+            raise DataError(at + (f"bad number in {line!r}" if scores
+                                  else f"bad value {fields[1]!r}")) from None
+        if not isfinite(numbers[0]):
+            raise DataError(f"{at}non-finite value {fields[1]!r}")
+        if scores and not 0.0 <= numbers[1] <= 1.0:
+            raise DataError(f"{at}score {fields[2]!r} outside [0, 1]")
+        if previous is not None and ts < previous:
+            raise StreamError(f"{at}timestamps out of order")
+        previous = ts
 
 
 def _parse(path, header=None) -> tuple[list[str], np.ndarray, list[np.ndarray]]:
@@ -183,42 +207,12 @@ def _parse(path, header=None) -> tuple[list[str], np.ndarray, list[np.ndarray]]:
         raise DataError(f"{path}: expected header {header!r}, found {found!r}")
     scores = header == SCORES_HEADER
     rows = list(filter(str.strip, lines[1:]))
-    width = header.count(",") + 1
-    bad = _FirstBadRow(len(rows))
-    malformed = (DataError, "malformed row {line!r}", 0)
-    commas = np.fromiter(map(str.count, rows, repeat(",")), np.int64, len(rows))
-    bad.flag(commas != width - 1, *malformed)
-    fields = ",".join(rows[:bad.row]).split(",") if bad.row else []
-    if not scores and "" in fields:  # both fields of a series row are required
-        bad.at(fields.index("") // width, *malformed)
-    texts = [fields[k:bad.row * width:width] for k in range(width)]
-    # a None template: parse_timestamp words the message
-    stamps = bad.parse(datetime.fromisoformat, texts[0], DataError, None, 0)
-    if any(map(_TZINFO, stamps)):
-        stamps = list(map(_naive_utc, stamps))
-    times = _micros(stamps)
-    number = "bad number in {line!r}" if scores else "bad value {field!r}"
-    columns = [np.array(bad.parse(float, texts[k], DataError, number, 1), dtype=float)
-               for k in range(1, width)]
-    bad.flag(~np.isfinite(columns[0]), DataError, "non-finite value {field!r}", 1)
-    if scores:
-        s = columns[1]
-        bad.flag(~((s >= 0.0) & (s <= 1.0)), DataError, "score {field!r} outside [0, 1]", 2)
-    bad.flag(np.r_[False, times[1:] < times[:-1]], StreamError, "timestamps out of order", 0)
-    if bad.fault is not None:
-        lineno = next(islice(compress(count(2), map(str.strip, lines[1:])), bad.row, None))
-        line = lines[lineno - 1]
-        error, template, k = bad.fault
-        field = line.split(",")[k]
-        if template is None:
-            try:
-                parse_timestamp(field)
-            except DataError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-        raise error(f"{path}:{lineno}: " + template.format(line=line, field=field))
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return rows, times, columns
+    parsed = _checked_columns(rows, scores)
+    if parsed is None:
+        _refuse_first_fault(path, lines, scores)
+    return rows, *parsed
 
 
 def read_series(path) -> Columns:

@@ -265,7 +265,11 @@ class TestRunCommand:
         assert rc == 2
         assert not (out / "series_0.csv").exists()
 
-    @pytest.mark.parametrize("stamp", ["noon", "2021-13-01T00:00:00"])
+    @pytest.mark.parametrize("stamp", ["noon", "2021-13-01T00:00:00",
+                                       # UTC offsets that carry the stamp
+                                       # before year 1 and past year 9999
+                                       "0001-01-01T00:00:00+01:00",
+                                       "9999-12-31T23:00:00-05:00"])
     def test_bad_timestamp_names_file_and_line(self, tmp_path, capsys, stamp):
         corpus, _ = make_corpus(tmp_path, n_files=1)
         path = corpus / "series_0.csv"
@@ -276,6 +280,40 @@ class TestRunCommand:
                    "--detector", "null"])
         assert rc == 2
         assert f"series_0.csv:31: bad timestamp {stamp!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("detector, code, message", [
+        (["threshold"], 2, "data error: {}: threshold detector cannot calibrate on empty prefix"),
+        (["htm_hd", "--param", "n_columns=64", "--param", "k_active=4"], 1,
+         "error: {}: cannot calibrate encoder on an empty training prefix"),
+    ], ids=["threshold", "htm_hd"])
+    def test_run_error_names_its_file(self, tmp_path, capsys, workers, detector, code,
+                                      message):
+        """The detector's error is raised again as the same type, so the
+        exit code stays."""
+        corpus, _ = make_corpus(tmp_path)
+        rc = main(["run", "--corpus", str(corpus), "--output", str(tmp_path / "out"),
+                   "--train-fraction", "0", "--workers", workers, "--detector", *detector])
+        assert rc == code
+        assert capsys.readouterr().err == message.format(corpus / "series_0.csv") + "\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_run_error_names_the_file_that_raised_it(self, tmp_path, capsys, workers):
+        # only the second file's training prefix overflows float64
+        corpus, _ = make_corpus(tmp_path)
+        path = corpus / "series_1.csv"
+        lines = path.read_text().splitlines()
+        for i, value in [(3, "1e308"), (6, "-1e308")]:
+            lines[i] = lines[i].split(",")[0] + "," + value
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(["run", "--corpus", str(corpus), "--output", str(tmp_path / "out"),
+                   "--detector", "htm_hd", "--param", "n_columns=64", "--param", "k_active=4",
+                   "--workers", workers])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: the training prefix's range ")
+        assert not (tmp_path / "out").exists()
 
     def test_empty_corpus_exits_2(self, tmp_path):
         (tmp_path / "corpus").mkdir()
@@ -612,6 +650,22 @@ class TestScoreCommand:
         assert rc == 2
         assert "labels.json: labels of 'series_1.csv': bad timestamp 'noon'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stamp", ["0001-01-01T00:00:00+01:00",
+                                       "9999-12-31T23:00:00-05:00"])
+    def test_out_of_range_label_instant_exits_2(self, tmp_path, capsys, stamp):
+        corpus, labels = make_corpus(tmp_path)
+        scores_dir = tmp_path / "scores"
+        main(["run", "--corpus", str(corpus), "--output", str(scores_dir),
+              "--detector", "null"])
+        labels.write_text(json.dumps({"series_1.csv": ["2021-01-01T00:40:00", stamp]}))
+        rc = main(["score", "--scores", str(scores_dir),
+                   "--labels", str(labels), "--output", str(tmp_path / "r")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"data error: {labels}: labels of 'series_1.csv': "
+            f"bad timestamp {stamp!r}: date value out of range\n")
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "1.5"])
     def test_score_outside_unit_interval_exits_2(self, tmp_path, capsys, score):
         corpus, labels = make_corpus(tmp_path)
@@ -808,6 +862,19 @@ class TestInspectCommand:
         assert capsys.readouterr().out == (
             f"{path}: 5 rows, span 2020-12-31 22:00:00.250000 .. "
             "2020-12-31 22:00:03.000001, value range [-2.5, 3.0]\n")
+
+    @pytest.mark.parametrize("header, tail", [("timestamp,value", ",1.0"),
+                                              ("timestamp,value,anomaly_score", ",1.0,0.5")],
+                             ids=["series", "scores"])
+    @pytest.mark.parametrize("stamp", ["0001-01-01T00:00:00+01:00",
+                                       "9999-12-31T23:00:00-05:00"])
+    def test_out_of_range_utc_normalization_exits_2(self, tmp_path, capsys, header, tail,
+                                                    stamp):
+        path = tmp_path / "f.csv"
+        path.write_text(f"{header}\n{stamp}{tail}\n")
+        assert main(["inspect", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {path}:2: bad timestamp {stamp!r}: date value out of range\n")
 
     @pytest.mark.parametrize("name", ["nope.csv", "nope.json"])
     def test_missing_file_exits_2(self, tmp_path, capsys, name):

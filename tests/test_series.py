@@ -388,6 +388,33 @@ class TestColumnParserMatchesReference:
             assert got == want, f"seed {seed}"
 
 
+# stamps whose UTC offset carries them before year 1 or past year 9999
+OUT_OF_RANGE_STAMPS = ["0001-01-01T00:00:00+01:00", "9999-12-31T23:00:00-05:00"]
+
+
+class TestOutOfRangeUtcNormalization:
+    """A stamp that names a valid local time but no UTC instant in the
+    years 1 to 9999 is a bad timestamp, not a crash."""
+
+    @pytest.mark.parametrize("stamp", OUT_OF_RANGE_STAMPS)
+    def test_parse_timestamp(self, stamp):
+        with pytest.raises(DataError, match=re.escape(
+                f"bad timestamp {stamp!r}: date value out of range")):
+            parse_timestamp(stamp)
+
+    @pytest.mark.parametrize("scores", [False, True], ids=["series", "scores"])
+    @pytest.mark.parametrize("stamp", OUT_OF_RANGE_STAMPS)
+    def test_data_file(self, tmp_path, scores, stamp):
+        path = tmp_path / "f.csv"
+        header, tail = (SCORES_HEADER, ",1.0,0.5") if scores else (SERIES_HEADER, ",1.0")
+        path.write_text(f"{header}\n{stamp}{tail}\n2021-03-01T12:00:00{tail}\n")
+        for read in (read_scores if scores else read_series, read_columns):
+            with pytest.raises(DataError) as refused:
+                read(path)
+            assert str(refused.value) == (
+                f"{path}:2: bad timestamp {stamp!r}: date value out of range")
+
+
 class TestColumnWriterMatchesReference:
     @pytest.mark.parametrize("seed", range(20))
     def test_random_records(self, tmp_path, seed):
@@ -659,7 +686,7 @@ class TestLabelsAndWindows:
         with pytest.raises(DataError, match="a.csv"):
             read_labels(path)
 
-    @pytest.mark.parametrize("instant", ["noon", ""])
+    @pytest.mark.parametrize("instant", ["noon", "", *OUT_OF_RANGE_STAMPS])
     def test_bad_instant_names_file_and_series(self, tmp_path, instant):
         path = tmp_path / "labels.json"
         path.write_text(json.dumps({"a.csv": ["2021-03-01T12:00:00"], "b.csv": [instant]}))
