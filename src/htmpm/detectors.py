@@ -5,8 +5,8 @@ anomaly score in [0, 1] per record, in order; ``run_file`` steps one
 file's ``series.Columns`` through a fresh detector. The HTM detector composes
 encoder -> spatial pooler -> temporal memory -> raw prediction error ->
 (optionally) HD anomaly likelihood. Active bits pass between those layers
-as int index arrays: the encoder's block of input indices, then the
-pooler's sorted active columns. A fresh detector per file reuses the
+as int index arrays: the encoder's active input bits, then the pooler's
+sorted active columns. A fresh detector per file reuses the
 spatial pooler's pool, which is drawn once per process (see
 ``spatial_pooler``). Baselines: windowed Gaussian, threshold, random,
 null.
@@ -18,8 +18,11 @@ other text raise ValidationError naming the key. Each HTM setting is one
 row of ``_HTM_SETTINGS``, which names its layer, that layer's argument and
 its parser; a setting that is not given takes the layer's own default, so
 each default is written once, in its layer. The HTM encoder's
-``value_min`` and ``value_max`` come together or not at all; without them
-the encoder calibrates on the training prefix.
+``value_min`` and ``value_max`` come together or not at all. ``calibrate``
+always works out the encoder's resolution from the training prefix
+(``encoder.calibrated_config``); a stated range only sets its finest
+value, and lets the detector step without a ``calibrate`` call, as if the
+prefix were empty.
 
 ``WindowedGaussianDetector.step`` runs once per record, so it is
 straight-line float code: locals for the running sums, compares in place
@@ -252,9 +255,9 @@ class HtmDetector:
             layer, argument, parse = _HTM_SETTINGS[key]
             layers[layer][argument] = parse(key, value)
         self._encoder_args = {"n_bits": N_BITS, "w_active": W_ACTIVE, **layers["encoder"]}
-        self.encoder_cfg: ScalarEncoderConfig | None = None
-        if "value_min" in self._encoder_args:
-            self.encoder_cfg = ScalarEncoderConfig(**self._encoder_args)
+        # with a stated range, the config of an empty prefix until calibrate
+        self.encoder_cfg: ScalarEncoderConfig | None = (
+            calibrated_config((), **self._encoder_args) if "value_min" in parameters else None)
         self.sp = SpatialPooler(n_input=self._encoder_args["n_bits"], seed=seed,
                                 **layers["sp"])
         self.tm = TemporalMemory(n_columns=self.sp.n_columns, **layers["tm"])
@@ -263,8 +266,7 @@ class HtmDetector:
         self.likelihood_state = LikelihoodState(**layers["likelihood"])
 
     def calibrate(self, values):
-        if self.encoder_cfg is None:
-            self.encoder_cfg = calibrated_config(values, **self._encoder_args)
+        self.encoder_cfg = calibrated_config(values, **self._encoder_args)
 
     def step(self, timestamp, value) -> float:
         if self.encoder_cfg is None:

@@ -34,12 +34,14 @@ entry is the input's ``ColumnActivation``, whose columns are read-only,
 because the temporal memory reads them without a copy. Scores depend only
 on ``_connected_t``, so an entry stays valid until a connection changes:
 learning clears the memo when it flips an entry of ``_connected_t``, and
-``rebuild_connections`` clears it. A repeated input (the healthy stretch
-of a periodic signal, where the encoder's block comes back) skips the
+``rebuild_connections`` clears it. A repeated input (a value back in a
+bucket the encoder gave before, as on the healthy stretch of a periodic
+signal or in noise narrower than the encoder's resolution) skips the
 overlap and the top-k. Learning still runs on every step and is not
 memoized: keeping each entry's pool rows and increments too (80 kB at the
 default size) saved 2% on the benchmark's staircase and cost 6% on its
-degradation stream, whose inputs rarely repeat. At most ``MEMO_ENTRIES``
+degradation stream, measured under the former contiguous block encoder,
+whose inputs there rarely repeated. At most ``MEMO_ENTRIES``
 inputs are kept, oldest dropped first.
 
 The pool is drawn once per process. ``_pool_draw`` caches the last draw

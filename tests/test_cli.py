@@ -3,6 +3,7 @@
 import json
 import pickle
 import tracemalloc
+import warnings
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -284,8 +285,8 @@ class TestRunCommand:
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("detector, code, message", [
         (["threshold"], 2, "data error: {}: threshold detector cannot calibrate on empty prefix"),
-        (["htm_hd", "--param", "n_columns=64", "--param", "k_active=4"], 1,
-         "error: {}: cannot calibrate encoder on an empty training prefix"),
+        (["htm_hd", "--param", "n_columns=64", "--param", "k_active=4"], 2,
+         "data error: {}: cannot calibrate encoder on an empty training prefix"),
     ], ids=["threshold", "htm_hd"])
     def test_run_error_names_its_file(self, tmp_path, capsys, workers, detector, code,
                                       message):
@@ -327,12 +328,13 @@ class TestRunCommand:
                    "--output", str(tmp_path / "out")])
         assert rc == 1
 
-    def test_htm_without_training_prefix_or_range_exits_1(self, tmp_path):
+    def test_htm_without_training_prefix_or_range_exits_2(self, tmp_path):
+        # the same data error, and exit code, as the threshold detector's below
         corpus, _ = make_corpus(tmp_path, n_files=1, n_records=5)
         rc = main(["run", "--corpus", str(corpus), "--output", str(tmp_path / "out"),
                    "--detector", "htm_hd", "--train-fraction", "0",
                    "--param", "n_columns=64", "--param", "k_active=4"])
-        assert rc == 1
+        assert rc == 2
 
     def test_threshold_without_training_prefix_or_level_exits_2(self, tmp_path):
         corpus, _ = make_corpus(tmp_path, n_files=1)
@@ -420,6 +422,44 @@ class TestRunCommand:
         assert err.startswith("data error: ") and "training prefix" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_training_range_wider_than_float64_with_stated_bounds_exits_2(self, tmp_path,
+                                                                          capsys):
+        # the stated width is finite, but the prefix's noise estimate is not
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        values = [1.0] * 60
+        values[2], values[5] = 1e308, -1e308
+        write_series(corpus / "series_0.csv",
+                     [(T0 + timedelta(minutes=j), v) for j, v in enumerate(values)])
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["run", "--corpus", str(corpus), "--output", str(out),
+                       "--detector", "htm_hd", "--param", "value_min=-2",
+                       "--param", "value_max=2"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("data error: ") and "training prefix's range" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bounds", [[], ["--param", "value_min=-2", "--param", "value_max=2"]],
+                             ids=["range_free", "stated"])
+    @pytest.mark.parametrize("value", ["1e308", "-1e308"])
+    def test_huge_scored_value_is_encoded(self, tmp_path, capsys, bounds, value):
+        # value / resolution overflows float64; the encoder saturates it
+        corpus, _ = make_corpus(tmp_path, n_files=1)
+        path = corpus / "series_0.csv"
+        lines = path.read_text().splitlines()
+        lines[50] = lines[50].split(",")[0] + "," + value
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        rc = main(["run", "--corpus", str(corpus), "--output", str(out),
+                   "--detector", "htm_hd", "--param", "n_columns=256", *bounds])
+        assert rc == 0, capsys.readouterr().err
+        rows = read_scores(out / "series_0.csv")
+        assert len(rows) == 60 and rows.values[49] == float(value)
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exit_1(self, tmp_path, capsys, workers):

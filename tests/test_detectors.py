@@ -9,7 +9,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from htmpm.detectors import (_HTM_SETTINGS, DetectorConfig, HtmDetector,
+from htmpm.detectors import (_HTM_SETTINGS, DETECTOR_KINDS, DetectorConfig, HtmDetector,
                              NullDetector, RandomDetector, ThresholdDetector,
                              WindowedGaussianDetector, build_detector,
                              run_file)
@@ -283,8 +283,9 @@ class TestHtmDetector:
 NON_DEFAULT = {
     "encoder_bits": ("256", 256, lambda d: d.encoder_cfg.n_bits),
     "encoder_width": ("31", 31, lambda d: d.encoder_cfg.w_active),
-    "value_min": ("-3", -3.0, lambda d: d.encoder_cfg.value_min),
-    "value_max": ("5", 5.0, lambda d: d.encoder_cfg.value_max),
+    # a stated range sets the finest resolution, its width over n_bits - w_active
+    "value_min": ("-3", 4.0 / 379, lambda d: d.encoder_cfg.resolution),
+    "value_max": ("5", 6.0 / 379, lambda d: d.encoder_cfg.resolution),
     "n_columns": ("1024", 1024, lambda d: d.sp.n_columns),
     "k_active": ("20", 20, lambda d: d.sp.k_active),
     "sp_potential_fraction": ("0.25", 0.25, lambda d: d.sp.pool.shape[1] / d.sp.n_input),
@@ -393,11 +394,25 @@ class TestRunFile:
 
     def test_calibration_never_sees_the_scored_stream(self):
         recs = as_columns(series(range(10)))
-        with pytest.raises(ValidationError):
+        with pytest.raises(DataError):
             run_file(DetectorConfig("htm_hd", {"n_columns": 64, "k_active": 4}),
                      recs, train_fraction=0.0)
         with pytest.raises(DataError):
             run_file(DetectorConfig("threshold", {}), recs, train_fraction=0.05)
+
+    @pytest.mark.parametrize("kind", DETECTOR_KINDS)
+    def test_no_look_ahead(self, kind):
+        """Changing the records after k, at equal length, leaves the first k
+        scores unchanged, for k inside, at the end of and past the 60-record
+        training prefix."""
+        rng = np.random.default_rng(2)
+        base = np.sin(np.arange(400) / 5.0) + rng.normal(0.0, 0.05, 400)
+        cfg = DetectorConfig(kind, {}, seed=3)
+        scores = run_file(cfg, as_columns(series(base)), 0.15)
+        for k in (20, 60, 61, 200):
+            changed = base.copy()
+            changed[k:] = rng.normal(3.0, 1.0, len(base) - k)
+            assert run_file(cfg, as_columns(series(changed)), 0.15)[:k] == scores[:k]
 
     def test_zero_train_fraction_with_explicit_calibration(self):
         recs = as_columns(series(range(10)))

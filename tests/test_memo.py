@@ -111,14 +111,14 @@ class TestDetectorReplay:
 
 class TestEvictionGolden:
     # sha256 of the scores and of json.dumps(state_dict()) for the evicting
-    # replay's stream at caps of 2 and 1 segments per cell, computed while
-    # an evicted row was still freed and taken back; eviction must keep
-    # them byte-identical
+    # replay's stream at caps of 2 and 1 segments per cell, computed when
+    # the random distributed scalar encoder replaced the block encoder;
+    # eviction must keep them byte-identical
     SHA256 = {
-        2: ("33eebea3d9aa2c20f8e97db0788a922e443bda2a2bad467488f57013587cf816",
-            "200d2e21a223749f85f865933a48f9cafae4a7c16f4a4ce36ba0a52a25c6e55f"),
-        1: ("c17c87e359b7a352ed3e0012df5ecbe7418103b066eab3df5fe203755ec8cabf",
-            "586e974e407fda4e48c021a5e363e39360191f88680c0eed4970373728c93b10"),
+        2: ("a7204397c64fdc766cc9ada4ec3f4816d520c2bc4524ce6c6a10b97981c53f5d",
+            "b67394d4c706f7d28032fc30586b6f147f8f50b864fa1afa72e52d07f60df33f"),
+        1: ("d88dd53f88b77e6ae03d5cca6f9d85d2c13db46b80f62b1f45cebbaebd4e5a5b",
+            "b04c61e6422a40f5f1bed1c1e756685360180520aed5ee19d1029fb32fdec520"),
     }
 
     @pytest.mark.parametrize("cap", [2, 1])

@@ -646,11 +646,11 @@ class TestSerialization:
 
 class TestScoresGolden:
     # sha256 of each htm_hd score CSV for this corpus, computed when the
-    # bursting winner's match threshold (MIN_MATCH) was introduced; TM
+    # random distributed scalar encoder replaced the block encoder; TM
     # refactors must keep them byte-identical
     SCORES_SHA256 = {
-        "degradation_00.csv": "0e22df21b743add6d1483f1ec1cd5a2e1a6110c56d4f84ca26930601a340cf11",
-        "degradation_01.csv": "5929f113171dc62f6d354891b0e7d54d65667a2d4e5baed93d90208844db6f6f",
+        "degradation_00.csv": "b6e0942fc88ab13200541b913913f2a557d6494c0e890becdf6f60a03ea4955d",
+        "degradation_01.csv": "decb76d76e57cac17de191120f2d561711bd72ce6d0ffc5abd9849fdc811f747",
     }
 
     def test_htm_hd_scores_unchanged(self, tmp_path):
