@@ -116,6 +116,11 @@ class TestEncode:
         assert x.dtype == np.intp
         assert x.tolist() == bits_reference(start, CFG)
 
+    def test_extremes_share_only_chance_collisions(self):
+        # buckets 0 and 379 have no bucket number in common, so they share
+        # only the bits where two different numbers hash alike: one here
+        assert overlap(sdr(0.0), sdr(100.0)) == 1
+
     def test_deterministic(self):
         assert bits(37.25) == bits(37.25)
 
