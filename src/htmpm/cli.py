@@ -33,6 +33,7 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -77,15 +78,23 @@ def _run_one(args):
     return path.name, len(records), elapsed
 
 
+@contextmanager
+def _writing(path):
+    """An OS error while writing ``path`` raised again as a data error
+    naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(f"{path}: cannot write: {exc.strerror or exc}") from None
+
+
 def _staging_dir(output_dir: Path) -> Path:
     """A hidden directory on the output's file system, inside the output
     directory when it exists, else in its nearest existing ancestor, so
     that each score file moves in by a rename."""
     parent = next(p for p in (output_dir, *output_dir.parents) if p.exists())
-    try:
+    with _writing(output_dir):
         return Path(tempfile.mkdtemp(prefix=".htmpm-run-", dir=parent))
-    except OSError as exc:
-        raise DataError(f"{output_dir}: cannot write: {exc.strerror or exc}") from None
 
 
 def cmd_run(cfg: RunConfig, workers: int = 1) -> Path:
@@ -168,17 +177,18 @@ def cmd_score(scores_dir, labels_path, profiles, output_dir,
         detector_name, outputs, windows_by_file,
         [PROFILES[p] for p in profiles],
     )
-    output_dir.mkdir(parents=True, exist_ok=True)
-    write_windows(output_dir / "windows.json", windows_by_file)
-    (output_dir / "results.json").write_text(json.dumps([
-        {
-            "detector": r.detector,
-            "profile": r.profile,
-            "raw_score": r.raw_score,
-            "normalized_score": r.normalized_score,
-            "optimized_threshold": r.optimized_threshold,
-        } for r in results
-    ], indent=2) + "\n")
+    with _writing(output_dir):
+        output_dir.mkdir(parents=True, exist_ok=True)
+        write_windows(output_dir / "windows.json", windows_by_file)
+        (output_dir / "results.json").write_text(json.dumps([
+            {
+                "detector": r.detector,
+                "profile": r.profile,
+                "raw_score": r.raw_score,
+                "normalized_score": r.normalized_score,
+                "optimized_threshold": r.optimized_threshold,
+            } for r in results
+        ], indent=2) + "\n")
 
     header = f"{'Detector':<20} {'Profile':<10} {'Raw':>12} {'Normalized':>12} {'Threshold':>10}"
     print(header)
@@ -232,15 +242,17 @@ def cmd_synth_generate(output_dir, n_files, duration, sample_rate, seed,
         values, label_times = generate_degradation(
             model, duration, sample_rate, seed=file_seed
         )
-        # made once generate_degradation has checked the duration and rate
-        output_dir.mkdir(parents=True, exist_ok=True)
         name = f"degradation_{i:02d}.csv"
         times = _sample_times(start_time, len(values), sample_rate)
-        write_series(output_dir / name, Columns(times, values))
+        # made once generate_degradation has checked the duration and rate
+        with _writing(output_dir):
+            output_dir.mkdir(parents=True, exist_ok=True)
+            write_series(output_dir / name, Columns(times, values))
         labels_doc[name] = [
             start_time + timedelta(seconds=t) for t in label_times
         ]
-    write_labels(output_dir / "labels.json", labels_doc)
+    with _writing(output_dir):
+        write_labels(output_dir / "labels.json", labels_doc)
     return output_dir
 
 
@@ -248,7 +260,8 @@ def cmd_synth_map(bearing_path, target_path, output_path, spec: SynthSpec):
     bearing = read_columns(bearing_path).values
     target = read_columns(target_path)
     mapped = psd_map(bearing, target.values, spec)
-    write_series(output_path, Columns(target.times, mapped))
+    with _writing(output_path):
+        write_series(output_path, Columns(target.times, mapped))
     return output_path
 
 

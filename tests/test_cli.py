@@ -10,7 +10,7 @@ import pytest
 
 import numpy as np
 
-from htmpm.cli import _sample_times, cmd_run, cmd_synth_generate, main
+from htmpm.cli import _sample_times, cmd_run, cmd_score, cmd_synth_generate, main
 from htmpm.config import RunConfig
 from htmpm.series import (Columns, read_scores, read_series, write_labels,
                           write_scores, write_series)
@@ -753,6 +753,41 @@ class TestScoreCommand:
         out = capsys.readouterr().out
         assert "Profile" in out and "standard" in out
 
+    @pytest.mark.parametrize("output", ["file.txt", "file.txt/results"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, output):
+        corpus, labels = make_corpus(tmp_path)
+        scores_dir = tmp_path / "scores"
+        main(["run", "--corpus", str(corpus), "--output", str(scores_dir),
+              "--detector", "null"])
+        (tmp_path / "file.txt").write_text("x\n")
+        rc = main(["score", "--scores", str(scores_dir), "--labels", str(labels),
+                   "--output", str(tmp_path / output)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"data error: {tmp_path / output}: cannot write: ")
+        assert (tmp_path / "file.txt").read_text() == "x\n"
+
+    def test_score_memory_per_record(self, tmp_path):
+        # each record's columns are held once, in their narrowest exact
+        # types, and no sweep keeps a full-size temporary: about 50 bytes a
+        # record, where holding the read columns beside the scorer's and
+        # the sweeps' chained copies took about 100
+        corpus, scores_dir = tmp_path / "corpus", tmp_path / "scores"
+        cmd_synth_generate(corpus, 20, duration=40.0, sample_rate=50.0, seed=5)
+        cmd_run(RunConfig.from_entries({
+            "corpus_dir": str(corpus), "output_dir": str(scores_dir),
+            "detector.kind": "windowed_gaussian"}))
+        records = 20 * 2000
+        tracemalloc.start()
+        try:
+            cmd_score(scores_dir, corpus / "labels.json", ["standard", "low_fp", "low_fn"],
+                      tmp_path / "results")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(read_scores(scores_dir / "degradation_19.csv")) == 2000
+        assert peak <= 70 * records, peak / records
+
 
 class TestSynthCommand:
     def test_generate_writes_corpus_and_labels(self, tmp_path):
@@ -821,6 +856,22 @@ class TestSynthCommand:
         mapped = read_series(out).values.tolist()
         for got, (_, want) in zip(mapped, target_records):
             assert got == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("args", [
+        ["--mode", "generate", "--files", "1", "--duration", "8", "--output", "file.txt"],
+        ["--mode", "generate", "--files", "1", "--duration", "8", "--output", "file.txt/corpus"],
+        ["--mode", "map", "--window-len", "16", "--output", "corpus"],
+        ["--mode", "map", "--window-len", "16", "--output", "file.txt/mapped.csv"],
+    ])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, args):
+        corpus, _ = make_corpus(tmp_path)
+        (tmp_path / "file.txt").write_text("x\n")
+        series = str(corpus / "series_0.csv")
+        output = tmp_path / args[-1]
+        rc = main(["synth", *args[:-1], str(output), "--bearing", series, "--target", series])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"data error: {output}: cannot write: ")
+        assert (tmp_path / "file.txt").read_text() == "x\n"
 
     def test_map_requires_inputs(self, tmp_path):
         rc = main(["synth", "--mode", "map", "--output", str(tmp_path / "o")])

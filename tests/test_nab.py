@@ -13,12 +13,15 @@ from datetime import datetime, timedelta
 
 import pytest
 
+import sweep_reference as reference
+from htmpm import nab
 from htmpm.cli import main
 from htmpm.errors import DataError, ValidationError
 from htmpm.nab import (LOW_FN, LOW_FP, PROFILES, STANDARD, AnomalyWindow,
                        ScoringProfile, benchmark, make_windows, normalize,
                        null_outputs, optimize_threshold, oracle_outputs,
                        sigma)
+from htmpm.series import read_labels, read_scores
 from records import as_columns
 
 T0 = datetime(2021, 1, 1)
@@ -372,6 +375,57 @@ class TestSweepMatchesBruteForce:
                 assert r.normalized_score == pytest.approx(
                     normalize(raw, null_raw, perfect_raw), abs=1e-9)
             checked += 1
+
+
+class TestSweepMatchesReference:
+    """The sweep against ``sweep_reference``, the same sweep before it held
+    each column once: equal thresholds and scores, not approximately equal
+    ones."""
+
+    PROFILES = (STANDARD, LOW_FP, LOW_FN, UNIT)
+
+    def test_random_corpora(self):
+        rng = random.Random(22)
+        checked = 0
+        for _ in range(80):
+            outputs, wbf = random_corpus(rng)
+            for profile in self.PROFILES:
+                assert (optimize_threshold(columns(outputs), wbf, profile)
+                        == reference.optimize_threshold(columns(outputs), wbf, profile))
+            if any(wbf.values()):  # with no window the normalization bounds coincide
+                assert (benchmark("x", columns(outputs), wbf, self.PROFILES)
+                        == reference.benchmark("x", columns(outputs), wbf, self.PROFILES))
+                checked += 1
+        assert checked >= 40
+
+    def test_synth_corpus(self, tmp_path):
+        corpus, scores = tmp_path / "corpus", tmp_path / "scores"
+        assert main(["synth", "--mode", "generate", "--output", str(corpus),
+                     "--files", "4", "--duration", "40", "--seed", "3"]) == 0
+        assert main(["run", "--corpus", str(corpus), "--output", str(scores),
+                     "--detector", "windowed_gaussian", "--seed", "1"]) == 0
+        labels = read_labels(corpus / "labels.json")
+        outputs, wbf = {}, {}
+        for path in sorted(scores.glob("*.csv")):
+            c = read_scores(path)
+            outputs[path.name] = (c.times, c.scores)
+            wbf[path.name] = make_windows(labels.get(path.name, []), c.span())
+        expected = reference.benchmark("x", outputs, wbf, self.PROFILES)
+        assert benchmark("x", dict(outputs), wbf, self.PROFILES) == expected
+        for profile in self.PROFILES:
+            assert (optimize_threshold(outputs, wbf, profile)
+                    == reference.optimize_threshold(outputs, wbf, profile))
+
+    def test_benchmark_empties_outputs(self):
+        outputs = columns({"f.csv": [(t, 0.5) for t in timeline(40)]})
+        benchmark("x", outputs, {"f.csv": [AnomalyWindow(ts(10), ts(20))]}, [STANDARD])
+        assert outputs == {}
+
+    def test_more_records_than_int32_ids_refused(self, monkeypatch):
+        monkeypatch.setattr(nab, "_MAX_RECORDS", 39)
+        outputs = columns({"f.csv": [(t, 0.5) for t in timeline(40)]})
+        with pytest.raises(DataError, match="40 records"):
+            benchmark("x", outputs, {"f.csv": [AnomalyWindow(ts(10), ts(20))]}, [STANDARD])
 
 
 class TestWindowsMustBeDisjoint:
