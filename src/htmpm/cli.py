@@ -149,12 +149,15 @@ def cmd_run(cfg: RunConfig, workers: int = 1) -> Path:
 def cmd_score(scores_dir, labels_path, profiles, output_dir,
               window_budget: float = 0.10, detector_name: str = "detector"):
     scores_dir, output_dir = Path(scores_dir), Path(output_dir)
-    labels = read_labels(labels_path)
     if not profiles:
         raise ValidationError("no scoring profiles selected")
     unknown = [p for p in profiles if p not in PROFILES]
     if unknown:
         raise ValidationError(f"unknown profile(s) {unknown}; choose from {sorted(PROFILES)}")
+    repeated = sorted({p for p in profiles if profiles.count(p) > 1})
+    if repeated:
+        raise ValidationError(f"profile(s) {repeated} given more than once")
+    labels = read_labels(labels_path)
 
     score_files = sorted(p for p in scores_dir.glob("*.csv"))
     if not score_files:

@@ -48,19 +48,18 @@ Predictions are memoized. The new active cells are fixed by the active
 columns and the predicted cells among them, so ``step`` keys a memo on
 those two arrays' bytes; an entry holds the predictive rows and their
 counts, read-only. The predict pass depends on nothing else but the
-connections: which live synapses sit at or above the connect threshold,
-onto which cells. Those change only where a stored float32 permanence
-crosses the threshold. The memo is cleared in four places: ``_adjust``
-(learning and synapse death) compares stored permanences before and
-after and clears it when one crossed; growth clears it when
-``initial_permanence`` is itself connected, since a free slot always
-holds permanence 0; ``_allocate`` clears it when a segment it replaces
-has an established synapse (no memoized predictive row lacks one); and
-``create_segment`` clears it outright when it implants synapses. A
-repeated input on a stable memory (the healthy stretch of a periodic
-signal) skips the predict pass; an input that never repeats misses, and
-pays for the lookup and the crossing tests. At most ``MEMO_ENTRIES`` keys
-are kept, oldest dropped first.
+established synapses: the live ones at or above the connect threshold.
+A free slot always holds permanence 0 (padding is written as 0, and a
+synapse dies at 0), so an established synapse appears or vanishes only
+where a stored float32 permanence crosses the threshold. That is the one
+rule: the two synapse writers, ``_adjust`` (learning, every step) and
+``_store`` (growth, a segment's reset when ``_allocate`` takes its row,
+and ``create_segment``'s implant), compare the stored permanences before
+and after and clear the memo when one crossed. A repeated input on a
+stable memory (the healthy stretch of a periodic signal) skips the
+predict pass; an input that never repeats misses, and pays for the
+lookup and the crossing tests. At most ``MEMO_ENTRIES`` keys are kept,
+oldest dropped first.
 
 ``state_dict`` exports the learned segments in a canonical order; the
 package keeps no loader for it.
@@ -116,6 +115,10 @@ class TemporalMemory:
             raise ValidationError(
                 "need 0 < sample_size <= max_synapses_per_segment"
             )
+        # a segment predicts with strictly more than activation_threshold synapses
+        if activation_threshold >= max_synapses_per_segment:
+            raise ValidationError(f"activation_threshold ({activation_threshold}) must be < "
+                                  f"max_synapses_per_segment ({max_synapses_per_segment})")
         if max_segments_per_cell < 1:
             raise ValidationError(
                 f"max_segments_per_cell must be >= 1, got {max_segments_per_cell}"
@@ -257,11 +260,12 @@ class TemporalMemory:
             grow = matching_rows[matched]
             reinforce = np.concatenate([correct_rows, grow])
             # a winner with no matching segment gets a new one when there
-            # are previous winners for it to grow onto
+            # are previous winners for it to grow onto; it grows after
+            # _adjust, which never touches a bursting winner's replaced row
             if len(grow) < len(burst_winners) and len(prev_winners):
                 lacking = ~matched
                 new = self._allocate(burst_winners[lacking], counts[lacking])
-                self._grow_new(new, prev_winners)
+                grow = np.concatenate([grow, new])
         self.seg_last_used[reinforce] = self._step
         rows = np.concatenate([reinforce, wrong_rows])
         presyn = self.seg_presyn[rows]
@@ -284,11 +288,22 @@ class TemporalMemory:
             self.seg_presyn[rows] = presyn
         stored = updated.astype(self.seg_perm.dtype)
         self.seg_perm[rows] = stored
-        # forget the memoized predictions if a stored permanence crossed the
-        # connect threshold; comparing the masks' bytes costs half of a
-        # reduction over them
+        self._forget_if_crossed(before, stored)
+
+    def _store(self, at, presyn, perm):
+        """Write presyn and perm at rows, or at (rows, slots): every synapse
+        write but learning's goes through here."""
+        before = self.seg_perm[at].copy()  # a basic index gives a view
+        self.seg_presyn[at] = presyn
+        self.seg_perm[at] = perm
+        self._forget_if_crossed(before, self.seg_perm[at])
+
+    def _forget_if_crossed(self, before, after):
+        """Forget the memoized predictions if a stored permanence crossed
+        the connect threshold. Comparing the masks' bytes costs half of a
+        reduction over them."""
         threshold = self.connect_threshold
-        if (before >= threshold).tobytes() != (stored >= threshold).tobytes():
+        if (before >= threshold).tobytes() != (after >= threshold).tobytes():
             self._memo.clear()
 
     def _grow(self, rows, winners):
@@ -309,25 +324,8 @@ class TemporalMemory:
         take_row, take_winner = np.nonzero(new & (rank < budget[:, None]))
         # the t-th synapse a row gains goes into its t-th free slot
         free_slots = np.argsort(~free, axis=1, kind="stable")
-        self._connect(rows[take_row], free_slots[take_row, rank[take_row, take_winner]],
-                      winners[take_winner])
-
-    def _grow_new(self, rows, winners):
-        """_grow for rows with no synapse: each samples the first
-        sample_size winner cells outside its own column, in slots 0, 1, ..."""
-        new = winners // self.m_cells != self.seg_cell[rows, None] // self.m_cells
-        rank = np.cumsum(new, axis=1) - 1
-        take_row, take_winner = np.nonzero(new & (rank < self.sample_size))
-        self._connect(rows[take_row], rank[take_row, take_winner], winners[take_winner])
-
-    def _connect(self, rows, slots, presyn):
-        """Grow synapses at initial_permanence into free slots. A free slot
-        holds permanence 0 (padding is written as 0, and a synapse dies at
-        0), so they rewire only when initial_permanence is connected."""
-        self.seg_presyn[rows, slots] = presyn
-        self.seg_perm[rows, slots] = self.initial_permanence
-        if len(rows) and self.seg_perm[rows[0], slots[0]] >= self.connect_threshold:
-            self._memo.clear()
+        self._store((rows[take_row], free_slots[take_row, rank[take_row, take_winner]]),
+                    winners[take_winner], self.initial_permanence)
 
     def _compute_predictive(self):
         """Eq.-(2) semantics over the current active cells. Strict '>':
@@ -376,10 +374,8 @@ class TemporalMemory:
                 raise ValidationError(f"permanence(s) {invalid} outside [0, 1]")
         row = int(self._allocate(np.array([cell]), np.array([len(self.segments_of(cell))]))[0])
         if synapses:
-            for i, (presyn, perm) in enumerate(sorted(synapses.items())):
-                self.seg_presyn[row, i] = presyn
-                self.seg_perm[row, i] = perm
-            self._memo.clear()
+            presyn, perm = zip(*sorted(synapses.items()))
+            self._store((row, slice(len(presyn))), presyn, perm)
         return row
 
     def _allocate(self, cells, counts):
@@ -394,15 +390,11 @@ class TemporalMemory:
         rows = taken + (self._n_rows - 1)
         for i in np.flatnonzero(~fresh).tolist():
             mine = self.segments_of(int(cells[i]))
-            rows[i] = row = mine[int(np.argmin(self.seg_last_used[mine]))]
-            # a memoized predictive row always has an established synapse
-            if (self.seg_perm[row] >= self.connect_threshold).any():
-                self._memo.clear()
+            rows[i] = mine[int(np.argmin(self.seg_last_used[mine]))]
         self._n_rows += int(taken[-1])
         while self._n_rows > len(self.seg_cell):
             self._grow_capacity()
-        self.seg_presyn[rows] = self._sentinel
-        self.seg_perm[rows] = 0.0
+        self._store(rows, self._sentinel, 0.0)
         self.seg_cell[rows] = cells
         self.seg_last_used[rows] = self._step
         return rows

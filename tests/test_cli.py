@@ -348,6 +348,8 @@ class TestRunCommand:
         "n_columns=abc", "tm_sample_size=abc", "likelihood_capacity=abc",
         "encoder_width=abc", "m_cells=2.5", "m_cells=true",
         "sp_perm_inc=nan", "tm_perm_inc=inf",
+        # no segment of the default 40 synapses can exceed these
+        "tm_activation_threshold=40", "tm_activation_threshold=100",
     ])
     def test_bad_htm_parameter_exits_1(self, tmp_path, capsys, param):
         corpus, _ = make_corpus(tmp_path, n_files=1)
@@ -602,6 +604,20 @@ class TestScoreCommand:
                    "--labels", str(labels),
                    "--output", str(tmp_path / "r"), "--profiles", "bogus"])
         assert rc == 1
+
+    def test_repeated_profile_exits_1(self, tmp_path, capsys):
+        # refused before the labels, which do not exist, are read
+        scores_dir = tmp_path / "scores"
+        scores_dir.mkdir()
+        results_dir = tmp_path / "r"
+        rc = main(["score", "--scores", str(scores_dir),
+                   "--labels", str(tmp_path / "labels.json"),
+                   "--output", str(results_dir), "--profiles", "standard,low_fp,standard"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: profile(s) ['standard'] given more than once")
+        assert "Traceback" not in err
+        assert not results_dir.exists()
 
     def test_non_numeric_budget_exits_1(self, tmp_path, capsys):
         corpus, labels = make_corpus(tmp_path)

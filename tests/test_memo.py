@@ -200,6 +200,18 @@ class TestTemporalMemoryInvalidation:
         _, after = step_both(tms, (0, 1))
         assert 5 in after and 5 not in before
 
+    def test_create_unconnected_segment_keeps_the_memo(self):
+        """A synapse implanted below the connect threshold crosses nothing,
+        so the memo is kept: the next repeated step skips the predict pass."""
+        tms = self.memories()
+        misses = counting_misses(tms[0])
+        for tm in tms:
+            tm.create_segment(5, {0: 0.3})
+        step_both(tms, (0, 1))
+        assert not misses
+        step_both(tms, (2, 3))
+        assert tms[0].state_dict() == tms[1].state_dict()
+
     def test_replace_predicting_segment(self):
         """An empty segment replaces a predicting one at the cap of one
         segment per cell; learning is off, so nothing else rewires."""

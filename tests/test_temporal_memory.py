@@ -81,6 +81,14 @@ class TestValidation:
     def test_range_edges_allowed(self):
         flat_tm(max_segments_per_cell=1, initial_permanence=1.0, connect_threshold=0.99)
 
+    @pytest.mark.parametrize("threshold", [4, 5])
+    def test_segment_too_narrow_to_predict_rejected(self, threshold):
+        # strict '>': four synapses can never exceed a threshold of 4
+        with pytest.raises(ValidationError, match=rf"activation_threshold \({threshold}\) "
+                                                  r"must be < max_synapses_per_segment \(4\)"):
+            flat_tm(activation_threshold=threshold)
+        flat_tm(activation_threshold=3)
+
 
 class TestPrediction:
     def test_no_segments_no_predictions(self):
@@ -453,7 +461,7 @@ class TestBatchedAllocation:
         lacking = matching_rows < 0
         ref = copy.deepcopy(tm)
         rows = tm._allocate(winners[lacking], counts[lacking])
-        tm._grow_new(rows, tm._winners)
+        tm._grow(rows, tm._winners)
         ref_rows = [ref.create_segment(int(cell)) for cell in winners[lacking]]
         ref._grow(np.array(ref_rows), ref._winners)
         assert rows.tolist() == ref_rows
