@@ -45,8 +45,7 @@ class LikelihoodState:
         self.history: deque[float] = deque()
         self._sum = 0.0
         self._sumsq = 0.0
-        self._short: deque[float] = deque()
-        self._short_sum = 0.0
+        self._short_sum = 0.0  # of the last short_window scores in history
 
     def __len__(self):
         return len(self.history)
@@ -63,6 +62,12 @@ def update_likelihood(raw: float, st: LikelihoodState) -> float:
     history = st.history
     n = len(history)
     history.append(raw)
+    short_window = st.short_window
+    short_total = st._short_sum + raw
+    # the score leaving the short window, read before the capacity drops it
+    if n >= short_window:
+        short_total -= history[-short_window - 1]
+    st._short_sum = short_total
     total = st._sum + raw
     total_sq = st._sumsq + raw * raw
     if n >= st.capacity:
@@ -73,13 +78,6 @@ def update_likelihood(raw: float, st: LikelihoodState) -> float:
         n += 1
     st._sum = total
     st._sumsq = total_sq
-    short_window = st.short_window
-    short = st._short
-    short.append(raw)
-    short_total = st._short_sum + raw
-    if len(short) > short_window:
-        short_total -= short.popleft()
-    st._short_sum = short_total
     if n < short_window:
         return 0.5
     mu = total / n

@@ -1,5 +1,9 @@
-"""Sparse distributed representations: the binary vector type, overlap
-matching, and the analytical capacity / false-match calculators.
+"""Sparse distributed representations: overlap matching on active-bit
+index arrays, and the analytical capacity / false-match calculators.
+
+An SDR is held as its sorted, distinct intp array of active bits, the form
+``encode`` and the spatial pooler return; an empty array (w = 0) is legal
+and overlaps everything as 0.
 
 All combinatorics are done with arbitrary-precision integers; division to
 a float happens only at the very end, since e.g. C(2048, 20) is far beyond
@@ -10,60 +14,26 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DimensionError, ValidationError
+import numpy as np
+
+from .errors import ValidationError
 
 
-@dataclass(frozen=True)
-class Sdr:
-    """Fixed-length binary vector identified by its set of active bits.
-
-    Immutable; ``active`` is stored as a sorted tuple of distinct indices.
-    An empty active set (w = 0) is legal and overlaps everything as 0.
-    """
-
-    size_n: int
-    active: tuple[int, ...] = field(default=())
-
-    def __post_init__(self):
-        if self.size_n <= 0:
-            raise ValidationError(f"SDR size must be positive, got {self.size_n}")
-        bits = tuple(sorted(set(self.active)))
-        if len(bits) != len(self.active):
-            raise ValidationError("duplicate active bits")
-        if bits and (bits[0] < 0 or bits[-1] >= self.size_n):
-            raise ValidationError(
-                f"active bit out of range [0, {self.size_n}): {bits[0]}..{bits[-1]}"
-            )
-        object.__setattr__(self, "active", bits)
-
-    @property
-    def w(self) -> int:
-        return len(self.active)
-
-    @property
-    def sparsity(self) -> Fraction:
-        """Fraction of bits active, exact."""
-        return Fraction(len(self.active), self.size_n)
+def overlap(a: np.ndarray, b: np.ndarray) -> int:
+    """Number of bits active in both index arrays."""
+    return np.intersect1d(a, b).size
 
 
-def overlap(a: Sdr, b: Sdr) -> int:
-    """Number of bits active in both vectors."""
-    if a.size_n != b.size_n:
-        raise DimensionError(f"SDR sizes differ: {a.size_n} vs {b.size_n}")
-    return len(set(a.active) & set(b.active))
-
-
-def matches(a: Sdr, b: Sdr, theta: int) -> bool:
-    """True when the two vectors share at least ``theta`` active bits."""
+def matches(a: np.ndarray, b: np.ndarray, theta: int) -> bool:
+    """True when the two index arrays share at least ``theta`` active bits."""
     if theta <= 0:
         raise ValidationError(f"match threshold must be positive, got {theta}")
-    if theta > min(a.w, b.w):
+    if theta > min(len(a), len(b)):
         raise ValidationError(
             f"match threshold {theta} exceeds operand cardinality "
-            f"({a.w}, {b.w})"
+            f"({len(a)}, {len(b)})"
         )
     return overlap(a, b) >= theta
 
@@ -88,9 +58,11 @@ def false_match_probability(n: int, w: int, theta: int) -> float:
     return float(Fraction(numerator, math.comb(n, w)))
 
 
-def random_sdr(n: int, w: int, seed: int) -> Sdr:
-    """Uniformly random w-subset of [0, n); deterministic for a given seed."""
+def random_sdr(n: int, w: int, seed: int) -> np.ndarray:
+    """Uniformly random w-subset of [0, n) as a read-only sorted intp
+    array; deterministic for a given seed."""
     if not 0 <= w <= n:
         raise ValidationError(f"need 0 <= w <= n, got w={w}, n={n}")
-    rng = random.Random(seed)
-    return Sdr(n, tuple(rng.sample(range(n), w)))
+    bits = np.sort(np.array(random.Random(seed).sample(range(n), w), dtype=np.intp))
+    bits.setflags(write=False)
+    return bits

@@ -27,7 +27,8 @@ records and so changes the scores.
 Inputs and outputs are index arrays. ``compute`` takes the encoder's
 sorted, distinct active input indices and gathers their rows of
 ``_connected_t``; its ``ColumnActivation`` carries the winning columns as
-a sorted intp array that the temporal memory reads as it is.
+a read-only, sorted intp array (empty for an empty input), which
+``learn_proximal`` and the temporal memory read as it is.
 
 Winners are memoized. ``compute`` keys a memo on the input's bytes; an
 entry is the input's ``ColumnActivation``, whose columns are read-only,
@@ -72,17 +73,17 @@ MEMO_ENTRIES = 64
 
 @dataclass(frozen=True, eq=False)  # == on an array field has no single truth value
 class ColumnActivation:
-    """Result of one inhibition round: the winning columns, ascending."""
+    """Result of one inhibition round: the winning columns as a read-only,
+    sorted intp array. The holder is kept only because the benchmark's
+    tracer reads ``.active_columns`` of the pooler's result and of the
+    temporal memory's argument."""
 
     active_columns: np.ndarray
-    n_columns: int
-    k: int
 
-    def __post_init__(self):
-        if len(self.active_columns) > self.k:
-            raise ValidationError("more active columns than k")
-        if len(self.active_columns) and self.active_columns[-1] >= self.n_columns:
-            raise ValidationError("column index out of range")
+
+# the activation of an empty input
+_NO_COLUMNS = np.empty(0, dtype=np.intp)
+_NO_COLUMNS.setflags(write=False)
 
 
 @functools.lru_cache(maxsize=1)
@@ -172,7 +173,7 @@ class SpatialPooler:
         index; optionally apply proximal learning."""
         active = np.asarray(active, dtype=np.intp)
         if not len(active):
-            return ColumnActivation(active, self.n_columns, self.k_active)
+            return ColumnActivation(_NO_COLUMNS)
         key = active.tobytes()
         activation = self._memo.get(key)
         if activation is None:
@@ -198,13 +199,13 @@ class SpatialPooler:
         top_idx = np.argsort(~scores, kind="stable")[:self.k_active]
         cols = np.sort(top_idx[scores[top_idx] > 0])
         cols.setflags(write=False)
-        return ColumnActivation(cols, self.n_columns, self.k_active)
+        return ColumnActivation(cols)
 
     def learn_proximal(self, active: np.ndarray, activated: ColumnActivation) -> None:
         """Reinforce active columns toward the input: pool synapses on
         the active input indices gain ``perm_inc``, the rest of the pool
         loses ``perm_dec``."""
-        cols = np.asarray(activated.active_columns, dtype=np.intp)
+        cols = activated.active_columns
         if not len(cols):
             return
         delta = np.full(self.n_input, -self.perm_dec)

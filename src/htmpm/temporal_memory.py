@@ -31,8 +31,10 @@ segment. So a value that follows two different contexts gets one segment
 per context, instead of one segment that both contexts pull back and
 forth. The clamp to ``sample_size`` lets a segment that has just grown
 its ``sample_size`` synapses match again.
-``step`` reads the spatial pooler's active columns, a sorted intp index
-array, without a copy, and returns the raw anomaly score, the fraction of
+``step`` reads the spatial pooler's active columns, a sorted, distinct
+intp index array, without a copy, refuses one with a column outside
+``[0, n_columns)`` (a ``DimensionError``: a negative index would wrap to
+another column), and returns the raw anomaly score, the fraction of
 active columns that burst (0 with no active column).
 
 Learning is Hebbian with asymmetric rates: segments that correctly
@@ -71,7 +73,7 @@ import numbers
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DimensionError, ValidationError
 from .spatial_pooler import MEMO_ENTRIES, ColumnActivation
 
 # htm.core's minThreshold: the fewest matching synapses that let a bursting
@@ -170,9 +172,12 @@ class TemporalMemory:
         columns with no predicted cell burst. Activation and learning read
         the previous step's activity, which is replaced only afterwards.
         """
+        columns = cols.active_columns
+        if len(columns) and (columns[0] < 0 or columns[-1] >= self.n_columns):
+            raise DimensionError(f"active columns {columns[0]}..{columns[-1]} outside "
+                                 f"the memory's columns [0, {self.n_columns})")
         self._step += 1
         m = self.m_cells
-        columns = np.asarray(cols.active_columns, dtype=np.intp)
         rows = self._active_rows  # the previous step's predictive segments
         owners = self.seg_cell[rows]
         col_mask = np.zeros(self.n_columns, dtype=bool)
@@ -445,8 +450,8 @@ class TemporalMemory:
     def reset(self) -> None:
         """Sequence boundary: clear activity but keep everything learned."""
         self._active_arr = np.zeros(self.n_cells + 1, dtype=bool)
-        self._winners = np.empty(0, dtype=np.int64)
-        self._active_rows = np.empty(0, dtype=np.int64)
+        self._winners = np.empty(0, dtype=np.intp)
+        self._active_rows = np.empty(0, dtype=np.intp)
         self._active_counts = np.empty(0, dtype=np.intp)
 
     # ------------------------------------------------------------------

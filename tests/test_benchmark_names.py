@@ -73,12 +73,18 @@ def test_detector_step_is_its_own(kind):
 
 def test_pooler_output_feeds_the_memory():
     """The tracer counts ``.active_columns`` of the pooler's result and of
-    the memory step's argument."""
+    the memory step's argument: a read-only intp array, whether the
+    pooler's memo missed or hit."""
     sp = SpatialPooler(n_input=50, n_columns=64, k_active=4, seed=0)
     tm = TemporalMemory(n_columns=64, m_cells=2)
-    for start in (0, 10, 20, 0):
-        activation = sp.compute(np.arange(start, start + 7))
-        assert len(activation.active_columns) == 4
+    miss = sp.compute(np.arange(30, 37), learn=False)
+    hit = sp.compute(np.arange(30, 37), learn=False)
+    assert hit is miss  # the memo's entry
+    for activation in (miss, sp.compute(np.arange(0)), *(
+            sp.compute(np.arange(start, start + 7)) for start in (0, 10, 20, 0))):
+        columns = activation.active_columns
+        assert len(columns) in (0, 4)
+        assert columns.dtype == np.intp and not columns.flags.writeable
         assert 0.0 <= tm.step(activation) <= 1.0
     assert isinstance(tm.predictive_columns, set)
     assert set(tm.state_dict()) == {"params", "segments"}

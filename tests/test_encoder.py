@@ -15,7 +15,7 @@ from htmpm import encoder
 from htmpm.encoder import (NOISE_BUCKETS, ScalarEncoderConfig, calibrated_config,
                            encode)
 from htmpm.errors import DataError, ValidationError
-from htmpm.sdr import Sdr, overlap
+from htmpm.sdr import overlap
 
 # the finest resolution of a stated [0, 100]: 379 buckets across it
 CFG = calibrated_config([], value_min=0.0, value_max=100.0)
@@ -45,10 +45,6 @@ def bits_reference(bucket, cfg):
 def bits(value, cfg=CFG):
     """The active bits of one encoding, as a tuple."""
     return tuple(encode(value, cfg).tolist())
-
-
-def sdr(value, cfg=CFG):
-    return Sdr(cfg.n_bits, bits(value, cfg))
 
 
 class TestConfig:
@@ -119,7 +115,7 @@ class TestEncode:
     def test_extremes_share_only_chance_collisions(self):
         # buckets 0 and 379 have no bucket number in common, so they share
         # only the bits where two different numbers hash alike: one here
-        assert overlap(sdr(0.0), sdr(100.0)) == 1
+        assert overlap(encode(0.0, CFG), encode(100.0, CFG)) == 1
 
     def test_deterministic(self):
         assert bits(37.25) == bits(37.25)
@@ -136,7 +132,7 @@ class TestEncode:
     def test_values_outside_the_stated_range_do_not_clip(self):
         assert bits(-50.0) != bits(0.0)
         assert bits(250.0) != bits(100.0)
-        assert overlap(sdr(250.0), sdr(100.0)) <= 3
+        assert overlap(encode(250.0, CFG), encode(100.0, CFG)) <= 3
 
     def test_block_is_read_only(self):
         # a bucket's bits are one cached array that every encode of it shares
@@ -240,7 +236,7 @@ class TestSimilarityProperties:
         shared = []
         for _ in range(200):
             v = rng.uniform(-100.0, 100.0)
-            shared.append(overlap(sdr(v), sdr(v + rng.uniform(0.0, res * 0.999))))
+            shared.append(overlap(encode(v, CFG), encode(v + rng.uniform(0.0, res * 0.999), CFG)))
         assert min(shared) >= 16 and np.mean(shared) >= 19
 
     @pytest.mark.parametrize("cfg", [
@@ -263,7 +259,7 @@ class TestSimilarityProperties:
         # only chance collisions: about w^2 / n_bits = 1.1 bits on average
         rng = random.Random(8)
         span = 21 * CFG.resolution
-        shared = [overlap(sdr(v), sdr(v + span * 1.1 + rng.uniform(0.0, 1e4)))
+        shared = [overlap(encode(v, CFG), encode(v + span * 1.1 + rng.uniform(0.0, 1e4), CFG))
                   for v in (rng.uniform(-1e4, 1e4) for _ in range(500))]
         assert np.mean(shared) < 2.0 and max(shared) <= 6
 

@@ -178,7 +178,7 @@ def flat_memory():
 
 
 def step_both(tms, active):
-    results = [(tm.step(ColumnActivation(tuple(active), 6, 3)), tm.predictive_cells)
+    results = [(tm.step(ColumnActivation(np.array(active, dtype=np.intp))), tm.predictive_cells)
                for tm in tms]
     assert results[0] == results[1]
     return results[0]

@@ -1,78 +1,60 @@
-"""SDR type, overlap matching, and the combinatorial calculators."""
+"""Overlap matching on index arrays, and the combinatorial calculators."""
 
 import itertools
-import math
-from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from htmpm.errors import DimensionError, ValidationError
-from htmpm.sdr import (Sdr, capacity, false_match_probability, matches,
-                       overlap, random_sdr)
+from htmpm.errors import ValidationError
+from htmpm.sdr import capacity, false_match_probability, matches, overlap, random_sdr
 
 
-class TestSdrType:
-    def test_active_bits_sorted_and_deduplicated_view(self):
-        s = Sdr(10, (5, 2, 7))
-        assert s.active == (2, 5, 7)
-        assert s.w == 3
-
-    def test_duplicate_bits_rejected(self):
-        with pytest.raises(ValidationError):
-            Sdr(10, (1, 1, 2))
-
-    def test_out_of_range_bits_rejected(self):
-        with pytest.raises(ValidationError):
-            Sdr(4, (0, 4))
-        with pytest.raises(ValidationError):
-            Sdr(4, (-1,))
-
-    def test_nonpositive_size_rejected(self):
-        with pytest.raises(ValidationError):
-            Sdr(0, ())
-
-    def test_empty_sdr_is_legal(self):
-        s = Sdr(16)
-        assert s.w == 0
-        assert overlap(s, Sdr(16, (3, 4))) == 0
-
-    def test_sparsity_is_exact_rational(self):
-        assert Sdr(400, tuple(range(21))).sparsity == Fraction(21, 400)
+def bits(*indices):
+    """Sorted active bits, the form ``encode`` and the pooler return."""
+    return np.array(indices, dtype=np.intp)
 
 
 class TestOverlap:
     def test_self_overlap_is_w(self):
-        s = Sdr(64, (1, 5, 9))
-        assert overlap(s, s) == s.w
+        s = bits(1, 5, 9)
+        assert overlap(s, s) == 3
 
     def test_disjoint_sets(self):
-        assert overlap(Sdr(6, (0, 1)), Sdr(6, (2, 3))) == 0
+        assert overlap(bits(0, 1), bits(2, 3)) == 0
 
     def test_partial_intersection(self):
-        assert overlap(Sdr(6, (0, 1)), Sdr(6, (1, 2))) == 1
+        assert overlap(bits(0, 1), bits(1, 2)) == 1
+
+    def test_empty_overlaps_everything_as_zero(self):
+        assert overlap(bits(), bits(3, 4)) == 0
+        assert overlap(bits(3, 4), bits()) == 0
+        assert overlap(bits(), bits()) == 0
 
     def test_symmetry(self):
         a, b = random_sdr(128, 12, seed=1), random_sdr(128, 12, seed=2)
         assert overlap(a, b) == overlap(b, a)
 
-    def test_size_mismatch_raises(self):
-        with pytest.raises(DimensionError):
-            overlap(Sdr(6, (0,)), Sdr(7, (0,)))
+    def test_is_a_python_int(self):
+        assert type(overlap(bits(0, 1), bits(1, 2))) is int
 
 
 class TestMatches:
     def test_threshold_met(self):
-        assert matches(Sdr(8, (0, 1, 2)), Sdr(8, (1, 2, 3)), theta=2)
+        assert matches(bits(0, 1, 2), bits(1, 2, 3), theta=2)
 
     def test_threshold_not_met(self):
-        assert not matches(Sdr(8, (0, 1, 2)), Sdr(8, (2, 3, 4)), theta=2)
+        assert not matches(bits(0, 1, 2), bits(2, 3, 4), theta=2)
 
     def test_invalid_thresholds(self):
-        a = Sdr(8, (0, 1))
+        a = bits(0, 1)
         with pytest.raises(ValidationError):
             matches(a, a, theta=0)
         with pytest.raises(ValidationError):
             matches(a, a, theta=3)
+
+    def test_empty_operand_matches_no_positive_threshold(self):
+        with pytest.raises(ValidationError, match=r"\(0, 2\)"):
+            matches(bits(), bits(0, 1), theta=1)
 
 
 class TestCapacity:
@@ -130,18 +112,43 @@ class TestFalseMatchProbability:
 
 
 class TestRandomSdr:
+    # the bits random_sdr(1024, 20, seed) gave when it built a tuple-based SDR
+    PINNED = {
+        0: (82, 151, 194, 202, 285, 286, 300, 447, 513, 530,
+            577, 621, 635, 676, 733, 788, 829, 861, 976, 995),
+        1: (4, 58, 129, 192, 209, 241, 275, 429, 468, 522,
+            545, 650, 777, 798, 886, 912, 920, 967, 999, 1014),
+        42: (51, 54, 61, 65, 178, 191, 209, 228, 285, 407,
+             447, 451, 457, 476, 501, 563, 569, 859, 864, 919),
+        2024: (119, 152, 303, 372, 410, 422, 435, 446, 502, 543,
+               622, 633, 676, 725, 839, 843, 851, 959, 962, 1020),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_pinned_bits(self, seed):
+        assert tuple(random_sdr(1024, 20, seed).tolist()) == self.PINNED[seed]
+
+    def test_sorted_read_only_intp(self):
+        s = random_sdr(100, 7, seed=9)
+        assert s.dtype == np.intp and not s.flags.writeable
+        assert (np.diff(s) > 0).all()
+
     def test_forced_full_set(self):
-        assert random_sdr(8, 8, seed=123).active == tuple(range(8))
+        assert random_sdr(8, 8, seed=123).tolist() == list(range(8))
+
+    def test_empty(self):
+        s = random_sdr(8, 0, seed=123)
+        assert s.dtype == np.intp and s.size == 0
 
     def test_deterministic_for_seed(self):
-        assert random_sdr(1024, 20, seed=42) == random_sdr(1024, 20, seed=42)
+        assert np.array_equal(random_sdr(1024, 20, seed=42), random_sdr(1024, 20, seed=42))
 
     def test_different_seeds_differ(self):
-        assert random_sdr(1024, 20, seed=1) != random_sdr(1024, 20, seed=2)
+        assert not np.array_equal(random_sdr(1024, 20, seed=1), random_sdr(1024, 20, seed=2))
 
     def test_cardinality_and_range(self):
         s = random_sdr(100, 7, seed=9)
-        assert s.w == 7 and s.size_n == 100
+        assert len(s) == 7 and 0 <= s[0] and s[-1] < 100
 
     def test_bounds(self):
         with pytest.raises(ValidationError):

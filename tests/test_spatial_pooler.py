@@ -31,18 +31,8 @@ def winners(sp, x):
     return sp.compute(x, learn=False).active_columns.tolist()
 
 
-def activation(*columns, n_columns=2, k=1):
-    return ColumnActivation(bits(*columns), n_columns, k)
-
-
-class TestColumnActivation:
-    def test_too_many_columns_rejected(self):
-        with pytest.raises(ValidationError):
-            ColumnActivation(bits(0, 1, 2), n_columns=8, k=2)
-
-    def test_index_out_of_range_rejected(self):
-        with pytest.raises(ValidationError):
-            ColumnActivation(bits(8), n_columns=8, k=2)
+def activation(*columns):
+    return ColumnActivation(bits(*columns))
 
 
 class TestComputeColumns:
@@ -185,7 +175,7 @@ class DensePooler:
     def compute(self, x):
         k = self.k_active
         if x.size == 0:
-            return ColumnActivation(bits(), self.n_columns, k)
+            return ColumnActivation(bits())
         scores = self._connected[:, x].sum(axis=1, dtype=np.int64)
         key = scores * (self.n_columns + 1) + self._tiebreak
         if k < self.n_columns:
@@ -193,7 +183,7 @@ class DensePooler:
         else:
             top_idx = np.arange(self.n_columns)
         top = [int(c) for c in top_idx if scores[c] > 0]
-        return ColumnActivation(bits(*sorted(top)), self.n_columns, k)
+        return ColumnActivation(bits(*sorted(top)))
 
     def learn_proximal(self, x, activated, inc, dec):
         """Proximal learning at the rates given for this step."""

@@ -14,7 +14,7 @@ import pytest
 
 from htmpm.cli import main
 from htmpm.detectors import HtmDetector
-from htmpm.errors import ValidationError
+from htmpm.errors import DimensionError, ValidationError
 from htmpm.spatial_pooler import ColumnActivation
 from htmpm.temporal_memory import MIN_MATCH, TemporalMemory
 from test_memo import recording_replacements
@@ -30,8 +30,9 @@ def flat_tm(n_columns=4, **kwargs):
     return TemporalMemory(**defaults)
 
 
-def cols(active, n_columns=4):
-    return ColumnActivation(tuple(active), n_columns, max(len(active), 1))
+def cols(active):
+    """The pooler's output form: sorted active columns as an intp array."""
+    return ColumnActivation(np.array(active, dtype=np.intp))
 
 
 def raw_anomaly_score(predicted_columns, active_columns):
@@ -60,6 +61,17 @@ class TestValidation:
             flat_tm(perm_punish=0.1, perm_dec=0.1)
         with pytest.raises(ValidationError):
             flat_tm(perm_punish=0.2, perm_dec=0.1)
+
+    @pytest.mark.parametrize("active", [[-1], [5], [0, 4]])
+    def test_out_of_range_columns_rejected(self, active):
+        # a negative column would wrap to the last column and give its
+        # winner a negative cell id; the state must stay untouched
+        tm = TemporalMemory(n_columns=4, m_cells=2, activation_threshold=0)
+        with pytest.raises(DimensionError, match=r"outside the memory's columns \[0, 4\)"):
+            tm.step(cols(active))
+        assert (tm.segment_count(), tm.active_cells, tm.winner_cells) == (0, set(), set())
+        tm.step(cols([0, 3]))
+        assert tm.active_cells == {0, 1, 6, 7}
 
     def test_all_zero_rates_allowed(self):
         flat_tm(perm_inc=0.0, perm_dec=0.0, perm_punish=0.0)
@@ -120,7 +132,7 @@ class TestActivation:
     def test_unpredicted_column_bursts_all_cells(self):
         tm = TemporalMemory(n_columns=3, m_cells=4, activation_threshold=0,
                             perm_punish=0.01)
-        tm.step(ColumnActivation((1,), 3, 1))
+        tm.step(cols([1]))
         assert tm.active_cells == {4, 5, 6, 7}
 
     def test_predicted_cell_activates_alone(self):
@@ -128,9 +140,9 @@ class TestActivation:
                             perm_punish=0.01)
         # cell 2 (column 1) predicted by activity in column 0
         tm.create_segment(2, {0: 0.6, 1: 0.6})
-        tm.step(ColumnActivation((0,), 2, 1))
+        tm.step(cols([0]))
         assert tm.predictive_cells == {2}
-        tm.step(ColumnActivation((1,), 2, 1))
+        tm.step(cols([1]))
         assert tm.active_cells == {2}
 
     def test_inactive_columns_have_no_active_cells(self):
@@ -144,7 +156,7 @@ class TestActivation:
         tm = TemporalMemory(n_columns=1, m_cells=3, activation_threshold=0,
                             perm_punish=0.01)
         tm.create_segment(0, {1: 0.6})
-        tm.step(ColumnActivation((0,), 1, 1))
+        tm.step(cols([0]))
         # cells 1 and 2 have no segments; tie resolves to cell 1
         assert 1 in tm.winner_cells
 
@@ -155,9 +167,9 @@ class TestActivation:
                             perm_punish=0.01)
         tm.create_segment(4, {c: 0.6 for c in range(strength4)})
         tm.create_segment(5, {c: 0.6 for c in range(strength5)})
-        tm.step(ColumnActivation((0,), 2, 1))
+        tm.step(cols([0]))
         assert tm.predictive_cells == {4, 5}
-        tm.step(ColumnActivation((1,), 2, 1))
+        tm.step(cols([1]))
         assert tm.active_cells == {4, 5}
         return tm
 
@@ -523,7 +535,7 @@ class TestRawScoreFromStep:
             else:
                 active = patterns[t % len(patterns)]
             predicted = tm.predictive_columns
-            raw = tm.step(ColumnActivation(active, 8, 3))
+            raw = tm.step(cols(active))
             assert raw == raw_anomaly_score(predicted, active)
             raws.append(raw)
         assert replaced and min(raws) < 1.0
@@ -537,9 +549,9 @@ class TestMatchingCountedAtStep:
         # sample_size 2: two matching synapses reach the match threshold
         tm = TemporalMemory(n_columns=2, m_cells=2, activation_threshold=5,
                             perm_punish=0.01, sample_size=2)
-        tm.step(ColumnActivation((0,), 2, 1))  # cells 0 and 1 burst
+        tm.step(cols([0]))  # cells 0 and 1 burst
         row = tm.create_segment(3, {0: 0.3, 1: 0.3})
-        tm.step(ColumnActivation((1,), 2, 1))
+        tm.step(cols([1]))
         # two matching synapses make cell 3 win over segment-less cell 2
         assert tm.winner_cells == {3}
         assert tm.synapses_of(row) == {0: pytest.approx(0.4), 1: pytest.approx(0.4)}
@@ -548,10 +560,10 @@ class TestMatchingCountedAtStep:
         tm = TemporalMemory(n_columns=3, m_cells=2, activation_threshold=5,
                             perm_punish=0.01, max_segments_per_cell=1)
         old = tm.create_segment(3, {0: 0.3, 1: 0.3})
-        tm.step(ColumnActivation((0,), 3, 1))  # row `old` matches 2 cells
+        tm.step(cols([0]))  # row `old` matches 2 cells
         row = tm.create_segment(3, {5: 0.3})  # replaces it at the cap
         assert row == old
-        tm.step(ColumnActivation((1,), 3, 1))
+        tm.step(cols([1]))
         # cell 3's segment matches nothing: the winner is cell 2, which has
         # no segment, and cell 3's segment is left alone
         assert tm.winner_cells == {2}
@@ -573,9 +585,9 @@ class TestMatchThreshold:
         m = 12
         tm = TemporalMemory(n_columns=2, m_cells=m, activation_threshold=m,
                             perm_punish=0.01, sample_size=sample_size)
-        tm.step(ColumnActivation((0,), 2, 1))  # cells 0..11 burst, winner 0
+        tm.step(cols([0]))  # cells 0..11 burst, winner 0
         row = tm.create_segment(m + 1, {c: 0.3 for c in range(n_match)})
-        tm.step(ColumnActivation((1,), 2, 1))
+        tm.step(cols([1]))
         # the cell with the matching segment wins the burst either way
         assert tm.winner_cells == {m + 1}
         rows = tm.segments_of(m + 1)
@@ -619,10 +631,10 @@ class TestSequenceLearning:
         patterns = [(0, 1, 2), (3, 4, 5), (6, 7, 8)]
         for rep in range(20):
             for pat in patterns:
-                tm.step(ColumnActivation(pat, 9, 3))
+                tm.step(cols(pat))
         # after many repetitions, each pattern predicts the next
         for i, pat in enumerate(patterns):
-            tm.step(ColumnActivation(pat, 9, 3))
+            tm.step(cols(pat))
             nxt = set(patterns[(i + 1) % 3])
             assert tm.predictive_columns >= nxt
 
