@@ -12,13 +12,13 @@ directory is made, the files are moved into it by renames and
 directory, so it leaves nothing. A process killed mid-run can leave a
 ``.htmpm-run-*`` directory behind.
 
-Exit codes: 0 success, 1 validation error, 2 data error. A numeric flag
-is read as text and parsed where it is used, so a value that is not a
-number is a validation error with an ``error:`` line, as the same value
-in a config file is: ``run``'s ``--seed``, ``--train-fraction`` and
-``--subsample`` go into the entry map that ``RunConfig.from_entries``
-parses, and every other numeric flag is parsed in ``main``. The default
-config path can be set through the HTMPM_CONFIG environment variable.
+Exit codes: 0 success, 1 validation error, 2 data error. A command line
+the parser refuses is a validation error with an ``error:`` line, as any
+other is; only ``--help`` exits from the parser. So is a numeric flag that
+is not a number, as the same value in a config file is: ``run``'s
+``--seed``, ``--train-fraction`` and ``--subsample`` go into the entry map
+that ``RunConfig.from_entries`` parses, and the parser converts every other
+one. The default config path can be set through HTMPM_CONFIG.
 """
 
 from __future__ import annotations
@@ -34,20 +34,22 @@ import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+from dataclasses import asdict
 from datetime import datetime, timedelta
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, load_config
+from .config import KNOWN_KEYS, RunConfig, load_config
 from .detectors import DETECTOR_KINDS, _integer, _number, run_file
 from .errors import DataError, HtmpmError, ValidationError
 from .nab import PROFILES, benchmark, make_windows
 from .psd_synth import DegradationModel, SynthSpec, generate_degradation, psd_map
-from .series import (Columns, _micros, _naive_utc, read_columns, read_labels,
-                     read_scores, read_series, write_labels, write_scores,
-                     write_series, write_windows)
+from .series import (Columns, _micros, _naive_utc, read_columns, read_json,
+                     read_labels, read_scores, read_series, write_labels,
+                     write_scores, write_series, write_windows)
 
 def _config_hash(cfg: RunConfig) -> str:
     canonical = json.dumps({
@@ -170,9 +172,11 @@ def cmd_score(scores_dir, labels_path, profiles, output_dir,
     for path in score_files:
         columns = read_scores(path)
         outputs[path.name] = (columns.times, columns.scores)
-        windows_by_file[path.name] = make_windows(
-            labels.get(path.name, []), columns.span(), window_budget
-        )
+        try:
+            windows_by_file[path.name] = make_windows(
+                labels.get(path.name, []), columns.span(), window_budget)
+        except DataError as exc:
+            raise DataError(f"{labels_path}: labels of {path.name!r}: {exc}") from None
     if not any(windows_by_file.values()):  # the null detector would score as the oracle
         raise DataError(f"no scored file has an anomaly window in {labels_path}")
 
@@ -183,15 +187,8 @@ def cmd_score(scores_dir, labels_path, profiles, output_dir,
     with _writing(output_dir):
         output_dir.mkdir(parents=True, exist_ok=True)
         write_windows(output_dir / "windows.json", windows_by_file)
-        (output_dir / "results.json").write_text(json.dumps([
-            {
-                "detector": r.detector,
-                "profile": r.profile,
-                "raw_score": r.raw_score,
-                "normalized_score": r.normalized_score,
-                "optimized_threshold": r.optimized_threshold,
-            } for r in results
-        ], indent=2) + "\n")
+        (output_dir / "results.json").write_text(
+            json.dumps([asdict(r) for r in results], indent=2) + "\n")
 
     header = f"{'Detector':<20} {'Profile':<10} {'Raw':>12} {'Normalized':>12} {'Threshold':>10}"
     print(header)
@@ -271,12 +268,7 @@ def cmd_synth_map(bearing_path, target_path, output_path, spec: SynthSpec):
 def cmd_inspect(path):
     path = Path(path)
     if path.suffix == ".json":
-        try:
-            doc = json.loads(path.read_bytes())
-        except OSError as exc:
-            raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from None
-        except ValueError as exc:  # malformed JSON or undecodable bytes
-            raise DataError(f"{path}: invalid JSON: {exc}") from None
+        doc = read_json(path)
         if not isinstance(doc, (dict, list)):
             raise DataError(f"{path}: expected a JSON object or array")
         print(f"{path}: JSON document with {len(doc)} top-level entries")
@@ -290,42 +282,50 @@ def cmd_inspect(path):
           f"value range [{min(values)}, {max(values)}]")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ValidationError where argparse would exit, as its converters do."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="htmpm")
+    parser = _Parser(prog="htmpm")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a detector over a corpus")
     p_run.add_argument("--config", default=os.environ.get("HTMPM_CONFIG"))
-    p_run.add_argument("--corpus")
-    p_run.add_argument("--output")
-    p_run.add_argument("--detector", choices=DETECTOR_KINDS)
+    # each flag's dest is the config key it sets
+    p_run.add_argument("--corpus", dest="corpus_dir")
+    p_run.add_argument("--output", dest="output_dir")
+    p_run.add_argument("--detector", dest="detector.kind", choices=DETECTOR_KINDS)
     p_run.add_argument("--seed")
     p_run.add_argument("--train-fraction")
     p_run.add_argument("--subsample")
     p_run.add_argument("--param", action="append", default=[],
                        metavar="KEY=VALUE", help="detector parameter override")
-    p_run.add_argument("--workers", default=1)
+    p_run.add_argument("--workers", type=partial(_integer, "--workers"), default=1)
 
     p_score = sub.add_parser("score", help="score a run against labels")
     p_score.add_argument("--scores", required=True)
     p_score.add_argument("--labels", required=True)
     p_score.add_argument("--output", required=True)
     p_score.add_argument("--profiles", default="standard,low_fp,low_fn")
-    p_score.add_argument("--budget", default=0.10)
+    p_score.add_argument("--budget", type=partial(_number, "--budget"), default=0.10)
     p_score.add_argument("--name", default="detector")
 
     p_synth = sub.add_parser("synth", help="generate or map synthetic data")
     p_synth.add_argument("--mode", choices=("generate", "map"), required=True)
     p_synth.add_argument("--output", required=True)
-    p_synth.add_argument("--files", default=10)
-    p_synth.add_argument("--duration", default=60.0)
-    p_synth.add_argument("--sample-rate", default=50.0)
-    p_synth.add_argument("--seed", default=0)
+    p_synth.add_argument("--files", type=partial(_integer, "--files"), default=10)
+    p_synth.add_argument("--duration", type=partial(_number, "--duration"), default=60.0)
+    p_synth.add_argument("--sample-rate", type=partial(_number, "--sample-rate"), default=50.0)
+    p_synth.add_argument("--seed", type=partial(_integer, "--seed"), default=0)
     p_synth.add_argument("--bearing")
     p_synth.add_argument("--target")
-    p_synth.add_argument("--window-len", default=256)
-    p_synth.add_argument("--hop")
-    p_synth.add_argument("--bin-size")
+    p_synth.add_argument("--window-len", type=partial(_integer, "--window-len"), default=256)
+    p_synth.add_argument("--hop", type=partial(_integer, "--hop"))
+    p_synth.add_argument("--bin-size", type=partial(_number, "--bin-size"))
     p_synth.add_argument("--taper", default="hann")
 
     p_inspect = sub.add_parser("inspect", help="summarize a .json or .csv file")
@@ -334,49 +334,38 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "run":
             entries = load_config(args.config) if args.config else {}
-            flags = {
-                "corpus_dir": args.corpus, "output_dir": args.output,
-                "detector.kind": args.detector, "seed": args.seed,
-                "train_fraction": args.train_fraction, "subsample": args.subsample,
-            }
             # a flag not given, or an empty path, leaves the file's entry
-            entries.update((k, v) for k, v in flags.items() if v not in (None, ""))
+            entries.update((k, v) for k, v in vars(args).items()
+                           if k in KNOWN_KEYS and v not in (None, ""))
             for pair in args.param:
                 key, eq, value = pair.partition("=")
                 if not eq:
                     raise ValidationError(f"--param expects KEY=VALUE, got {pair!r}")
                 entries[f"detector.param.{key.strip()}"] = value.strip()
-            workers = _integer("--workers", args.workers)
-            cmd_run(RunConfig.from_entries(entries), workers=workers)
+            cmd_run(RunConfig.from_entries(entries), workers=args.workers)
         elif args.command == "score":
             profiles = [p.strip() for p in args.profiles.split(",") if p.strip()]
             cmd_score(args.scores, args.labels, profiles, args.output,
-                      window_budget=_number("--budget", args.budget),
-                      detector_name=args.name)
+                      window_budget=args.budget, detector_name=args.name)
         elif args.command == "synth":
-            files, seed = _integer("--files", args.files), _integer("--seed", args.seed)
-            duration = _number("--duration", args.duration)
-            sample_rate = _number("--sample-rate", args.sample_rate)
-            window_len = _integer("--window-len", args.window_len)
-            hop = None if args.hop is None else _integer("--hop", args.hop)
-            bin_size = None if args.bin_size is None else _number("--bin-size", args.bin_size)
             if args.mode == "generate":
-                cmd_synth_generate(args.output, files, duration, sample_rate, seed)
+                cmd_synth_generate(args.output, args.files, args.duration,
+                                   args.sample_rate, args.seed)
             else:
                 if not args.bearing or not args.target:
                     raise ValidationError("synth --mode map needs --bearing and --target")
                 # the default bin is the FFT resolution, derived only from a
                 # valid window: SynthSpec rejects a bad window before the bin
-                resolution = sample_rate / window_len if window_len > 0 else None
+                resolution = args.sample_rate / args.window_len if args.window_len > 0 else None
                 spec = SynthSpec(
-                    window_len=window_len,
-                    hop=hop or window_len // 2,
-                    bin_size=resolution if bin_size is None else bin_size,
-                    sample_rate=sample_rate,
+                    window_len=args.window_len,
+                    hop=args.window_len // 2 if args.hop is None else args.hop,
+                    bin_size=resolution if args.bin_size is None else args.bin_size,
+                    sample_rate=args.sample_rate,
                     taper=args.taper,
                 )
                 cmd_synth_map(args.bearing, args.target, args.output, spec)

@@ -20,7 +20,8 @@ config file's entries, then the flags laid over them (``--corpus``,
 ``--subsample``; a flag not given, or an empty path, leaves the file's
 value), then each ``--param KEY=VALUE`` laid over them as
 ``detector.param.KEY``. So a flag beats the file, and ``--param`` beats a
-``detector.param.*`` entry of the file.
+``detector.param.*`` entry of the file. The file is read as UTF-8 through
+``series``; one that cannot be read or decoded is a validation error.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .detectors import DetectorConfig, _integer, _number
-from .errors import ValidationError
+from .errors import DataError, ValidationError
+from .series import _read_text
 
 KNOWN_KEYS = {
     "corpus_dir", "output_dir", "train_fraction", "seed", "detector.kind",
@@ -108,7 +110,7 @@ class RunConfig:
 
 
 def load_config(path) -> dict[str, str]:
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"config file not found: {path}")
-    return parse_config_text(path.read_text())
+    try:
+        return parse_config_text(_read_text(path))
+    except DataError as exc:  # a fault reading the file, which is configuration
+        raise ValidationError(f"config file {exc}") from None

@@ -148,6 +148,8 @@ def generate_degradation(model: DegradationModel, duration: float,
     """
     _check_positive("duration", duration)
     _check_positive("sample_rate", sample_rate)
+    if not math.isfinite(duration * sample_rate):
+        raise ValidationError(f"{duration} s at {sample_rate} Hz overflows the sample count")
     n = int(round(duration * sample_rate))
     if n < 1:
         raise ValidationError(f"{duration} s at {sample_rate} Hz is no sample")

@@ -293,12 +293,18 @@ def write_scores(path, records: Columns, scores) -> None:
     _write_columns(path, replace(records, scores=np.asarray(scores, dtype=float)))
 
 
-def read_labels(path) -> dict[str, list[datetime]]:
-    """JSON map: file name -> list of anomaly instants."""
+def read_json(path):
+    """The document in a UTF-8 JSON file; bad JSON, like a fault reading the file,
+    is a data error."""
     try:
-        doc = json.loads(_read_text(path))
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from None
+
+
+def read_labels(path) -> dict[str, list[datetime]]:
+    """JSON map: file name -> list of anomaly instants."""
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise DataError(f"{path}: labels document must be a JSON object")
     for name, instants in doc.items():

@@ -5,6 +5,7 @@ import pickle
 import tracemalloc
 import warnings
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 
@@ -508,6 +509,17 @@ class TestRunCommand:
         assert err.startswith("error: ") and key in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("make", [Path.mkdir, lambda p: p.write_bytes(b"seed = \xff\n")],
+                             ids=["directory", "not-utf8"])
+    def test_unreadable_config_exits_1(self, tmp_path, capsys, make):
+        """A config file is configuration: one that cannot be read or
+        decoded is a validation error naming it, not a traceback."""
+        cfg = tmp_path / "run.cfg"
+        make(cfg)
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {cfg}: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("workers", ["x", "1.5"])
     def test_non_integer_workers_exit_1(self, tmp_path, capsys, workers):
         corpus, _ = make_corpus(tmp_path, n_files=1)
@@ -722,6 +734,27 @@ class TestScoreCommand:
             f"bad timestamp {stamp!r}: date value out of range\n")
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("records, label, fault", [
+        (60, "2030-01-01T00:00:00", "label 2030-01-01 00:00:00 outside file span"),
+        (1, "2021-01-01T00:00:00",
+         "degenerate file span 2021-01-01 00:00:00..2021-01-01 00:00:00"),
+    ], ids=["outside-span", "one-record"])
+    def test_unplaceable_label_names_labels_file_and_series(self, tmp_path, capsys, records,
+                                                            label, fault):
+        corpus, labels = make_corpus(tmp_path)
+        scores_dir = tmp_path / "scores"
+        main(["run", "--corpus", str(corpus), "--output", str(scores_dir),
+              "--detector", "null"])
+        path = scores_dir / "series_1.csv"
+        path.write_text("\n".join(path.read_text().splitlines()[:records + 1]) + "\n")
+        labels.write_text(json.dumps({"series_1.csv": [label]}))
+        rc = main(["score", "--scores", str(scores_dir),
+                   "--labels", str(labels), "--output", str(tmp_path / "r")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"data error: {labels}: labels of 'series_1.csv': {fault}\n")
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "1.5"])
     def test_score_outside_unit_interval_exits_2(self, tmp_path, capsys, score):
         corpus, labels = make_corpus(tmp_path)
@@ -897,6 +930,7 @@ class TestSynthCommand:
         ["--sample-rate", "-50"], ["--duration", "nan"], ["--sample-rate", "nan"],
         ["--sample-rate", "0"], ["--files", "-2"], ["--files", "0"],
         ["--duration", "1e-9"], ["--seed", "-1"],
+        ["--duration", "1e300", "--sample-rate", "1e300"],
     ])
     def test_bad_generate_numbers_exit_1(self, tmp_path, capsys, args):
         out = tmp_path / "synth"
@@ -936,6 +970,17 @@ class TestSynthCommand:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_zero_hop_exits_1(self, tmp_path, capsys):
+        """``--hop 0`` is a hop of 0, not a request for the default."""
+        series = tmp_path / "series.csv"
+        write_series(series, [(T0 + timedelta(seconds=i), float(i % 7)) for i in range(600)])
+        out = tmp_path / "mapped.csv"
+        rc = main(["synth", "--mode", "map", "--bearing", str(series),
+                   "--target", str(series), "--output", str(out), "--hop", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: need 0 < hop <= window_len\n"
         assert not out.exists()
 
 
@@ -1003,6 +1048,13 @@ class TestInspectCommand:
         path.write_text('{"series_0.csv": [')
         assert main(["inspect", str(path)]) == 2
 
+    def test_utf16_json_exits_2(self, tmp_path, capsys):
+        """JSON is read as UTF-8, as every input is."""
+        path = tmp_path / "labels.json"
+        path.write_text('{"series_0.csv": []}', encoding="utf-16")
+        assert main(["inspect", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"data error: {path}: not UTF-8 text: ")
+
     def test_json_scalar_exits_2(self, tmp_path):
         path = tmp_path / "scalar.json"
         path.write_text("5\n")
@@ -1021,6 +1073,31 @@ class TestInspectCommand:
         marker = tmp_path / "marker"
         pickle.loads(pickle.dumps(_CreatesFileWhenUnpickled(str(marker)))).close()
         assert marker.exists()
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("argv", [
+        ["run", "--corpus", "c", "--output", "o", "--detector", "bogus"],
+        ["score", "--scores", "s", "--output", "o"],
+        ["synth", "--mode", "bogus", "--output", "o"],
+        ["inspect", "f.csv", "--bogus"],
+        ["--bogus"],
+        [],
+    ], ids=["run-choice", "score-required", "synth-choice", "unknown-flag", "top-level-flag",
+            "no-command"])
+    def test_usage_error_exits_1(self, capsys, argv):
+        """A command line the parser refuses is a validation error: one
+        error line and exit code 1, not a usage banner and exit code 2."""
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--help"])
+        assert exc.value.code == 0
+        assert "--sample-rate" in capsys.readouterr().out
 
 
 class _CreatesFileWhenUnpickled:

@@ -181,3 +181,9 @@ class TestGenerateDegradation:
         model = DegradationModel(baseline_sigma=0.1, fault_freqs=(), growth=())
         with pytest.raises(ValidationError):
             generate_degradation(model, duration, rate)
+
+    def test_sample_count_overflow_names_both_values(self):
+        # each value is finite; their product, the sample count, is not
+        model = DegradationModel(baseline_sigma=0.1, fault_freqs=(), growth=())
+        with pytest.raises(ValidationError, match=r"^1e\+300 s at 2e\+300 Hz overflows"):
+            generate_degradation(model, 1e300, 2e300)
