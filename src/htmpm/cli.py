@@ -13,12 +13,12 @@ directory, so it leaves nothing. A process killed mid-run can leave a
 ``.htmpm-run-*`` directory behind.
 
 Exit codes: 0 success, 1 validation error, 2 data error. A command line
-the parser refuses is a validation error with an ``error:`` line, as any
-other is; only ``--help`` exits from the parser. So is a numeric flag that
-is not a number, as the same value in a config file is: ``run``'s
-``--seed``, ``--train-fraction`` and ``--subsample`` go into the entry map
-that ``RunConfig.from_entries`` parses, and the parser converts every other
-one. The default config path can be set through HTMPM_CONFIG.
+the parser refuses, or one with no command, is a validation error with an
+``error:`` line; only ``--help`` exits from the parser. So is a numeric
+flag that is not a number, as the same value in a config file is:
+``run``'s ``--seed``, ``--train-fraction`` and ``--subsample`` go into the
+entry map that ``RunConfig.from_entries`` parses, and the parser converts
+every other one. The default config path can be set through HTMPM_CONFIG.
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ from .detectors import DETECTOR_KINDS, _integer, _number, run_file
 from .errors import DataError, HtmpmError, ValidationError
 from .nab import PROFILES, benchmark, make_windows
 from .psd_synth import DegradationModel, SynthSpec, generate_degradation, psd_map
-from .series import (Columns, _micros, _naive_utc, read_columns, read_json,
-                     read_labels, read_scores, read_series, write_labels,
-                     write_scores, write_series, write_windows)
+from .series import (Columns, _micros, read_columns, read_json, read_labels,
+                     read_scores, read_series, write_labels, write_scores,
+                     write_series, write_windows)
 
 def _config_hash(cfg: RunConfig) -> str:
     canonical = json.dumps({
@@ -206,7 +206,7 @@ def _sample_times(start: datetime, n: int, rate: float) -> np.ndarray:
     microsecond, ties to even."""
     frac, whole = np.modf(np.arange(n) / rate)
     offsets = whole.astype(np.int64) * 1_000_000 + np.rint(frac * 1e6).astype(np.int64)
-    return _micros([_naive_utc(start)]) + offsets
+    return _micros([start]) + offsets
 
 
 def cmd_synth_generate(output_dir, n_files, duration, sample_rate, seed,
@@ -291,7 +291,8 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="htmpm")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # optional, so that argparse names an unknown flag; main refuses no command
+    sub = parser.add_subparsers(dest="command")
 
     p_run = sub.add_parser("run", help="run a detector over a corpus")
     p_run.add_argument("--config", default=os.environ.get("HTMPM_CONFIG"))
@@ -371,6 +372,8 @@ def main(argv=None) -> int:
                 cmd_synth_map(args.bearing, args.target, args.output, spec)
         elif args.command == "inspect":
             cmd_inspect(args.path)
+        else:
+            raise ValidationError("no command given: choose run, score, synth or inspect")
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

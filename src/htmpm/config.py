@@ -21,7 +21,8 @@ config file's entries, then the flags laid over them (``--corpus``,
 value), then each ``--param KEY=VALUE`` laid over them as
 ``detector.param.KEY``. So a flag beats the file, and ``--param`` beats a
 ``detector.param.*`` entry of the file. The file is read as UTF-8 through
-``series``; one that cannot be read or decoded is a validation error.
+``series``; one that cannot be read or decoded, or has a bad line, is a
+validation error naming the file.
 """
 
 from __future__ import annotations
@@ -112,5 +113,7 @@ class RunConfig:
 def load_config(path) -> dict[str, str]:
     try:
         return parse_config_text(_read_text(path))
+    except ValidationError as exc:  # a malformed line
+        raise ValidationError(f"config file {path}: {exc}") from None
     except DataError as exc:  # a fault reading the file, which is configuration
         raise ValidationError(f"config file {exc}") from None

@@ -30,15 +30,15 @@ columns first.
 Both kinds are written by one column writer. Records that carry their
 ``rows`` are written as those rows, so a score file repeats its series
 file's records as they were read, each followed by ``,`` and the score's
-repr. Otherwise the timestamps are formatted from int64 microseconds by
-``np.datetime_as_string``, with a whole second written without a fraction
-as ``datetime.isoformat`` writes it, and each number column is one
-``map(repr, ...)`` over Python floats; the file is one join. Records the
-readers would refuse are refused before the file is opened, naming the
-path and the record's index: a non-finite value or a score outside [0, 1]
-(``DataError``), a timestamp outside the years 1 to 9999 (``DataError``)
-and timestamps out of order (``StreamError``). Rows were checked when
-they were read, so only their scores are checked again.
+repr. Otherwise the timestamps are formatted by ``_format_times``, which
+writes every timestamp the package writes, labels and windows included,
+and each number column is one ``map(repr, ...)`` over Python floats; the
+file is one join. Records the readers would refuse are refused before
+the file is opened, naming the path and the record's index: a non-finite
+value or a score outside [0, 1] (``DataError``), a timestamp outside the
+years 1 to 9999 (``DataError``) and timestamps out of order
+(``StreamError``). Rows were checked when they were read, so only their
+scores are checked again.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ SERIES_HEADER = "timestamp,value"
 SCORES_HEADER = "timestamp,value,anomaly_score"
 
 _EPOCH = datetime(1970, 1, 1)
-_TZINFO = attrgetter("tzinfo")
 
 
 def _naive_utc(ts: datetime) -> datetime:
@@ -78,15 +77,13 @@ def parse_timestamp(text: str) -> datetime:
         raise DataError(f"bad timestamp {text!r}: {exc}") from None
 
 
-def format_timestamp(ts: datetime) -> str:
-    return _naive_utc(ts).isoformat()
-
-
 def _micros(stamps) -> np.ndarray:
-    """Naive datetimes as int64 microseconds since 1970-01-01, by exact
-    integer arithmetic on the fields of their offsets from the epoch: one
-    map per field costs half as much as dividing each offset by a
-    microsecond."""
+    """Datetimes, naive or aware, as int64 microseconds since 1970-01-01
+    (naive UTC), by exact integer arithmetic on the fields of their offsets
+    from the epoch: one map per field costs half as much as dividing each
+    offset by a microsecond."""
+    if any(map(attrgetter("tzinfo"), stamps)):
+        stamps = list(map(_naive_utc, stamps))
     n = len(stamps)
     offsets = list(map(_EPOCH.__rsub__, stamps))
     days, seconds, micros = (np.fromiter(map(attrgetter(f), offsets), np.int64, n)
@@ -95,6 +92,16 @@ def _micros(stamps) -> np.ndarray:
 
 
 _FIRST_US, _LAST_US = _micros([datetime.min, datetime.max])
+
+
+def _format_times(times: np.ndarray) -> list[str]:
+    """int64 microseconds since 1970-01-01 as ``datetime.isoformat`` writes
+    them: a whole second without a fraction."""
+    instants = times.astype("datetime64[us]")
+    stamps = np.datetime_as_string(instants, unit="us")
+    whole = times % 1_000_000 == 0
+    stamps[whole] = np.datetime_as_string(instants[whole].astype("datetime64[s]"), unit="s")
+    return stamps.tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,9 +129,7 @@ class Columns:
 
     def span(self) -> tuple[datetime, datetime]:
         """The first and the last timestamp."""
-        first, last = (_EPOCH + timedelta(microseconds=int(t))
-                       for t in (self.times[0], self.times[-1]))
-        return first, last
+        return tuple(_EPOCH + timedelta(microseconds=t) for t in self.times[[0, -1]].tolist())
 
 
 def _read_text(path) -> str:
@@ -149,13 +154,10 @@ def _checked_columns(rows: list[str], scores: bool):
     if not scores and "" in fields:  # both fields of a series row are required
         return None
     try:
-        stamps = list(map(datetime.fromisoformat, fields[::width]))
-        if any(map(_TZINFO, stamps)):
-            stamps = list(map(_naive_utc, stamps))
+        times = _micros(list(map(datetime.fromisoformat, fields[::width])))
         columns = [np.array(list(map(float, fields[k::width]))) for k in range(1, width)]
     except (ValueError, OverflowError):
         return None
-    times = _micros(stamps)
     good = np.isfinite(columns[0]).all() and not (times[1:] < times[:-1]).any()
     if scores:
         good = good and ((columns[1] >= 0.0) & (columns[1] <= 1.0)).all()
@@ -237,11 +239,8 @@ def _as_columns(records) -> Columns:
     if isinstance(records, Columns):
         return records
     records = list(records)
-    stamps = list(map(itemgetter(0), records))
-    if any(map(_TZINFO, stamps)):
-        stamps = list(map(_naive_utc, stamps))
     values = np.fromiter(map(itemgetter(1), records), float, len(records))
-    return Columns(_micros(stamps), values)
+    return Columns(_micros(list(map(itemgetter(0), records))), values)
 
 
 def _refuse(path, mask: np.ndarray, error, template: str, column: np.ndarray) -> None:
@@ -265,12 +264,8 @@ def _write_columns(path, columns: Columns) -> None:
                 "timestamp outside the years 1 to 9999", times)
         _refuse(path, np.r_[False, times[1:] < times[:-1]], StreamError,
                 "timestamps out of order", times)
-        instants = times.astype("datetime64[us]")
-        stamps = np.datetime_as_string(instants, unit="us")
-        whole = times % 1_000_000 == 0  # isoformat omits a zero fraction
-        stamps[whole] = np.datetime_as_string(instants[whole].astype("datetime64[s]"), unit="s")
         # repr of Python floats: numpy 2 spells a float64's repr np.float64(...)
-        rows = map(",".join, zip(stamps.tolist(), map(repr, values.tolist())))
+        rows = map(",".join, zip(_format_times(times), map(repr, values.tolist())))
     if scores is not None:
         _refuse(path, ~((scores >= 0.0) & (scores <= 1.0)), DataError,
                 "score {!r} outside [0, 1]", scores)
@@ -321,7 +316,7 @@ def read_labels(path) -> dict[str, list[datetime]]:
 
 def write_labels(path, labels: dict) -> None:
     doc = {
-        name: [format_timestamp(t) for t in instants]
+        name: _format_times(_micros(instants))
         for name, instants in sorted(labels.items())
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
@@ -330,7 +325,8 @@ def write_labels(path, labels: dict) -> None:
 def write_windows(path, windows_by_file: dict) -> None:
     """JSON map: file name -> list of [start, end] pairs."""
     doc = {
-        name: [[format_timestamp(w.start), format_timestamp(w.end)] for w in windows]
+        name: list(zip(_format_times(_micros([w.start for w in windows])),
+                       _format_times(_micros([w.end for w in windows]))))
         for name, windows in sorted(windows_by_file.items())
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")

@@ -27,8 +27,9 @@ records and so changes the scores.
 Inputs and outputs are index arrays. ``compute`` takes the encoder's
 sorted, distinct active input indices and gathers their rows of
 ``_connected_t``; its ``ColumnActivation`` carries the winning columns as
-a read-only, sorted intp array (empty for an empty input), which
-``learn_proximal`` and the temporal memory read as it is.
+a read-only, sorted intp array (empty for an empty input). Only
+``compute``, which hands ``learn_proximal`` the array, and the temporal
+memory's ``step`` open the holder.
 
 Winners are memoized. ``compute`` keys a memo on the input's bytes; an
 entry is the input's ``ColumnActivation``, whose columns are read-only,
@@ -181,7 +182,7 @@ class SpatialPooler:
             if len(self._memo) > MEMO_ENTRIES:
                 del self._memo[next(iter(self._memo))]
         if learn:
-            self.learn_proximal(active, activation)
+            self.learn_proximal(active, activation.active_columns)
         return activation
 
     def _inhibit(self, active) -> ColumnActivation:
@@ -201,11 +202,10 @@ class SpatialPooler:
         cols.setflags(write=False)
         return ColumnActivation(cols)
 
-    def learn_proximal(self, active: np.ndarray, activated: ColumnActivation) -> None:
-        """Reinforce active columns toward the input: pool synapses on
+    def learn_proximal(self, active: np.ndarray, cols: np.ndarray) -> None:
+        """Reinforce the winning columns toward the input: pool synapses on
         the active input indices gain ``perm_inc``, the rest of the pool
         loses ``perm_dec``."""
-        cols = activated.active_columns
         if not len(cols):
             return
         delta = np.full(self.n_input, -self.perm_dec)

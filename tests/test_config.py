@@ -131,3 +131,11 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError):
             load_config(tmp_path / "absent.cfg")
+
+    def test_bad_line_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("corpus_dir c\n")
+        with pytest.raises(ValidationError) as exc:
+            load_config(path)
+        assert str(exc.value) == (f"config file {path}: config line 1: "
+                                  "expected 'key = value', got 'corpus_dir c'")

@@ -68,8 +68,8 @@ def trace(detector, values):
     for value in values:
         likelihood = detector.step(None, value)
         tm = detector.tm
-        out.append((raws[-1], likelihood, tm.active_cells, tm.winner_cells,
-                    tm.predictive_cells))
+        out.append((raws[-1], likelihood, tm.active_cells.tolist(), tm.winner_cells.tolist(),
+                    tm.predictive_cells.tolist()))
     return out
 
 
@@ -178,8 +178,8 @@ def flat_memory():
 
 
 def step_both(tms, active):
-    results = [(tm.step(ColumnActivation(np.array(active, dtype=np.intp))), tm.predictive_cells)
-               for tm in tms]
+    results = [(tm.step(ColumnActivation(np.array(active, dtype=np.intp))),
+                tm.predictive_cells.tolist()) for tm in tms]
     assert results[0] == results[1]
     return results[0]
 
@@ -198,7 +198,7 @@ class TestTemporalMemoryInvalidation:
         for tm in tms:
             tm.create_segment(5, {0: 0.6})
         _, after = step_both(tms, (0, 1))
-        assert 5 in after and 5 not in before
+        assert (before, after) == ([2, 3], [2, 3, 5])
 
     def test_create_unconnected_segment_keeps_the_memo(self):
         """A synapse implanted below the connect threshold crosses nothing,
@@ -227,7 +227,7 @@ class TestTemporalMemoryInvalidation:
         for tm in tms:
             assert tm.create_segment(5) == row
         _, after = step_both(tms, (0,))
-        assert before == {5} and not after
+        assert before == [5] and after == []
 
     def test_rounding_onto_the_threshold_is_a_crossing(self):
         """0.4 + 0.09999999 is below 0.5 in float64 but stores as 0.5 in
@@ -242,7 +242,7 @@ class TestTemporalMemoryInvalidation:
         step_both(tms, (5,))  # column 5 bursts and reinforces its segment
         assert [tm.synapses_of(row) for tm in tms] == [{0: 0.5}] * 2
         _, again = step_both(tms, (0,))
-        assert again == {5} and not first
+        assert again == [5] and first == []
 
     def test_memoized_rows_are_read_only(self):
         tm = self.memories()[0]

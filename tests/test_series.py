@@ -694,6 +694,27 @@ class TestLabelsAndWindows:
                 f"labels.json: labels of 'b.csv': bad timestamp {instant!r}")):
             read_labels(path)
 
+    def test_instants_written_as_isoformat(self, tmp_path):
+        """Labels and windows write each instant as ``isoformat`` writes its
+        naive UTC form: years 1, 999 and 9999, fractions, before 1970 and
+        with a UTC offset."""
+        plus2 = timezone(timedelta(hours=2))
+        instants = [datetime(1, 1, 1), datetime(999, 5, 6, 7, 8, 9, 10),
+                    datetime(1969, 12, 31, 23, 59, 59, 500000),
+                    datetime(9999, 12, 31, 23, 59, 59, 999999),
+                    datetime(2021, 3, 1, 14, 0, 0, 250000, tzinfo=plus2),
+                    datetime(2021, 3, 1, 14, 0, 1, tzinfo=plus2)]
+        texts = [reference_format_timestamp(t) for t in instants]
+        assert texts[0] == "0001-01-01T00:00:00" and texts[4] == "2021-03-01T12:00:00.250000"
+        write_labels(tmp_path / "labels.json", {"a.csv": instants})
+        write_windows(tmp_path / "windows.json", {
+            "a.csv": [AnomalyWindow(*pair) for pair in zip(instants[::2], instants[1::2])],
+        })
+        assert json.loads((tmp_path / "labels.json").read_text()) == {"a.csv": texts}
+        assert json.loads((tmp_path / "windows.json").read_text()) == {
+            "a.csv": [list(pair) for pair in zip(texts[::2], texts[1::2])],
+        }
+
     def test_windows_document_shape(self, tmp_path):
         path = tmp_path / "windows.json"
         write_windows(path, {

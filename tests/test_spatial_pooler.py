@@ -31,10 +31,6 @@ def winners(sp, x):
     return sp.compute(x, learn=False).active_columns.tolist()
 
 
-def activation(*columns):
-    return ColumnActivation(bits(*columns))
-
-
 class TestComputeColumns:
     def test_hand_worked_top1(self):
         # columns connected to {0,1}, {2,3}, {1,2}; input {0,1} scores 2,0,1
@@ -95,10 +91,12 @@ class TestComputeColumns:
 
 
 class TestLearnProximal:
+    """Input bit 0 active, column 0 the one winner."""
+
     def test_zero_rates_are_a_noop(self):
         sp = tiny_pooler([{0, 1}, {2, 3}], perm_inc=0.0, perm_dec=0.0)
         before = sp.permanences.copy()
-        sp.learn_proximal(bits(0), activation(0))
+        sp.learn_proximal(bits(0), bits(0))
         assert np.array_equal(sp.permanences, before)
 
     def test_increment_crosses_connect_threshold(self):
@@ -106,26 +104,26 @@ class TestLearnProximal:
         sp.permanences[0, 0] = 0.45
         sp.rebuild_connections()
         assert not sp.connected[0, 0]
-        sp.learn_proximal(bits(0), activation(0))
+        sp.learn_proximal(bits(0), bits(0))
         assert sp.permanences[0, 0] == pytest.approx(0.55)
         assert sp.connected[0, 0]
 
     def test_clamped_at_one(self):
         sp = tiny_pooler([{0, 1}, {2, 3}], perm_inc=0.1, perm_dec=0.0)
         sp.permanences[0, 0] = 0.98
-        sp.learn_proximal(bits(0), activation(0))
+        sp.learn_proximal(bits(0), bits(0))
         assert sp.permanences[0, 0] == 1.0
 
     def test_clamped_at_zero(self):
         sp = tiny_pooler([{0, 1}, {2, 3}], perm_inc=0.0, perm_dec=0.1)
         sp.permanences[0, 1] = 0.005
-        sp.learn_proximal(bits(0), activation(0))
+        sp.learn_proximal(bits(0), bits(0))
         assert sp.permanences[0, 1] == 0.0
 
     def test_inactive_columns_untouched(self):
         sp = tiny_pooler([{0, 1}, {2, 3}], perm_inc=0.1, perm_dec=0.05)
         before = sp.permanences[1].copy()
-        sp.learn_proximal(bits(0), activation(0))
+        sp.learn_proximal(bits(0), bits(0))
         assert np.array_equal(sp.permanences[1], before)
 
     def test_negative_rates_rejected(self):
@@ -185,11 +183,10 @@ class DensePooler:
         top = [int(c) for c in top_idx if scores[c] > 0]
         return ColumnActivation(bits(*sorted(top)))
 
-    def learn_proximal(self, x, activated, inc, dec):
+    def learn_proximal(self, x, cols, inc, dec):
         """Proximal learning at the rates given for this step."""
-        if not len(activated.active_columns):
+        if not len(cols):
             return
-        cols = activated.active_columns
         active_mask = np.zeros(self.n_input, dtype=bool)
         active_mask[x] = True
         pool = self.potential[cols]
@@ -234,8 +231,8 @@ class TestPoolMatchesDense:
             assert np.array_equal(act.active_columns, ref.compute(x).active_columns)
             inc, dec = (float(r) for r in rng.choice(rates, size=2))
             sp.perm_inc, sp.perm_dec = inc, dec
-            sp.learn_proximal(x, act)
-            ref.learn_proximal(x, act, inc=inc, dec=dec)
+            sp.learn_proximal(x, act.active_columns)
+            ref.learn_proximal(x, act.active_columns, inc=inc, dec=dec)
             assert dense_permanences(sp).tobytes() == ref.permanences.tobytes()
             assert np.array_equal(sp.connected, sp.permanences >= sp.connect_threshold)
 

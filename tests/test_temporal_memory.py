@@ -69,9 +69,9 @@ class TestValidation:
         tm = TemporalMemory(n_columns=4, m_cells=2, activation_threshold=0)
         with pytest.raises(DimensionError, match=r"outside the memory's columns \[0, 4\)"):
             tm.step(cols(active))
-        assert (tm.segment_count(), tm.active_cells, tm.winner_cells) == (0, set(), set())
+        assert (tm.segment_count(), tm.active_cells.tolist(), tm.winner_cells.tolist()) == (0, [], [])
         tm.step(cols([0, 3]))
-        assert tm.active_cells == {0, 1, 6, 7}
+        assert tm.active_cells.tolist() == [0, 1, 6, 7]
 
     def test_all_zero_rates_allowed(self):
         flat_tm(perm_inc=0.0, perm_dec=0.0, perm_punish=0.0)
@@ -106,26 +106,26 @@ class TestPrediction:
     def test_no_segments_no_predictions(self):
         tm = flat_tm()
         tm.step(cols([0, 1]))
-        assert tm.predictive_cells == set()
+        assert tm.predictive_cells.tolist() == []
 
     def test_established_synapses_above_threshold_predict(self):
         tm = flat_tm(activation_threshold=1)
         tm.create_segment(2, {0: 0.6, 1: 0.6})
         tm.step(cols([0, 1]))
-        assert tm.predictive_cells == {2}
+        assert tm.predictive_cells.tolist() == [2]
 
     def test_strict_threshold_boundary(self):
         # exactly threshold established active synapses does not predict
         tm = flat_tm(activation_threshold=2)
         tm.create_segment(2, {0: 0.6, 1: 0.6})
         tm.step(cols([0, 1]))
-        assert tm.predictive_cells == set()
+        assert tm.predictive_cells.tolist() == []
 
     def test_sub_threshold_permanence_counts_as_zero(self):
         tm = flat_tm(activation_threshold=1)
         tm.create_segment(2, {0: 0.6, 1: 0.49})
         tm.step(cols([0, 1]))
-        assert tm.predictive_cells == set()
+        assert tm.predictive_cells.tolist() == []
 
 
 class TestActivation:
@@ -133,7 +133,7 @@ class TestActivation:
         tm = TemporalMemory(n_columns=3, m_cells=4, activation_threshold=0,
                             perm_punish=0.01)
         tm.step(cols([1]))
-        assert tm.active_cells == {4, 5, 6, 7}
+        assert tm.active_cells.tolist() == [4, 5, 6, 7]
 
     def test_predicted_cell_activates_alone(self):
         tm = TemporalMemory(n_columns=2, m_cells=2, activation_threshold=0,
@@ -141,16 +141,16 @@ class TestActivation:
         # cell 2 (column 1) predicted by activity in column 0
         tm.create_segment(2, {0: 0.6, 1: 0.6})
         tm.step(cols([0]))
-        assert tm.predictive_cells == {2}
+        assert tm.predictive_cells.tolist() == [2]
         tm.step(cols([1]))
-        assert tm.active_cells == {2}
+        assert tm.active_cells.tolist() == [2]
 
     def test_inactive_columns_have_no_active_cells(self):
         tm = flat_tm()
         tm.create_segment(3, {0: 0.9})
         tm.step(cols([0]))
         tm.step(cols([1]))  # column 3 predicted but not activated
-        assert tm.active_cells == {1}
+        assert tm.active_cells.tolist() == [1]
 
     def test_burst_winner_prefers_fewest_segments_then_lowest_index(self):
         tm = TemporalMemory(n_columns=1, m_cells=3, activation_threshold=0,
@@ -158,7 +158,7 @@ class TestActivation:
         tm.create_segment(0, {1: 0.6})
         tm.step(cols([0]))
         # cells 1 and 2 have no segments; tie resolves to cell 1
-        assert 1 in tm.winner_cells
+        assert tm.winner_cells.tolist() == [1]
 
     def predicted_pair(self, strength4, strength5):
         """Cells 4 and 5 (column 1) predicted by segments with the given
@@ -168,17 +168,17 @@ class TestActivation:
         tm.create_segment(4, {c: 0.6 for c in range(strength4)})
         tm.create_segment(5, {c: 0.6 for c in range(strength5)})
         tm.step(cols([0]))
-        assert tm.predictive_cells == {4, 5}
+        assert tm.predictive_cells.tolist() == [4, 5]
         tm.step(cols([1]))
-        assert tm.active_cells == {4, 5}
+        assert tm.active_cells.tolist() == [4, 5]
         return tm
 
     def test_predicted_winner_has_strongest_segment(self):
-        assert self.predicted_pair(1, 3).winner_cells == {5}
-        assert self.predicted_pair(3, 1).winner_cells == {4}
+        assert self.predicted_pair(1, 3).winner_cells.tolist() == [5]
+        assert self.predicted_pair(3, 1).winner_cells.tolist() == [4]
 
     def test_predicted_winner_tie_goes_to_lower_cell(self):
-        assert self.predicted_pair(2, 2).winner_cells == {4}
+        assert self.predicted_pair(2, 2).winner_cells.tolist() == [4]
 
 
 class TestLearning:
@@ -188,7 +188,7 @@ class TestLearning:
         r2 = tm.create_segment(2, {0: 0.6, 1: 0.6})
         r3 = tm.create_segment(3, {0: 0.5, 1: 0.5})
         tm.step(cols([0, 1]))
-        assert tm.predictive_cells == {2, 3}
+        assert tm.predictive_cells.tolist() == [2, 3]
         return tm, r2, r3
 
     def test_correct_prediction_reinforced(self):
@@ -275,7 +275,7 @@ class TestSegmentBookkeeping:
         assert tm.create_segment(0, {3: 0.5}) == older
         # and again now that the lowest row holds the newest segment
         assert tm.create_segment(0, {1: 0.5}) == older
-        assert tm.segments_of(0) == [older, newer]
+        assert tm.segments_of(0).tolist() == [older, newer]
         assert [tm.synapses_of(r) for r in (older, newer)] == [{1: 0.5}, {2: 0.5}]
 
     def test_too_many_synapses_rejected(self):
@@ -323,7 +323,8 @@ class TestSegmentBookkeeping:
         row = tm.create_segment(0, {1: 0.6})
         with pytest.raises(ValidationError):
             tm.create_segment(0, {-2: 0.6})
-        assert tm.segments_of(0) == [row] and tm.synapses_of(row) == {1: pytest.approx(0.6)}
+        assert tm.segments_of(0).tolist() == [row]
+        assert tm.synapses_of(row) == {1: pytest.approx(0.6)}
 
 
 def random_tm(seed):
@@ -553,7 +554,7 @@ class TestMatchingCountedAtStep:
         row = tm.create_segment(3, {0: 0.3, 1: 0.3})
         tm.step(cols([1]))
         # two matching synapses make cell 3 win over segment-less cell 2
-        assert tm.winner_cells == {3}
+        assert tm.winner_cells.tolist() == [3]
         assert tm.synapses_of(row) == {0: pytest.approx(0.4), 1: pytest.approx(0.4)}
 
     def test_replaced_segment_does_not_inherit_matches(self):
@@ -566,7 +567,7 @@ class TestMatchingCountedAtStep:
         tm.step(cols([1]))
         # cell 3's segment matches nothing: the winner is cell 2, which has
         # no segment, and cell 3's segment is left alone
-        assert tm.winner_cells == {2}
+        assert tm.winner_cells.tolist() == [2]
         assert tm.synapses_of(row) == {5: pytest.approx(0.3)}
 
 
@@ -589,10 +590,10 @@ class TestMatchThreshold:
         row = tm.create_segment(m + 1, {c: 0.3 for c in range(n_match)})
         tm.step(cols([1]))
         # the cell with the matching segment wins the burst either way
-        assert tm.winner_cells == {m + 1}
+        assert tm.winner_cells.tolist() == [m + 1]
         rows = tm.segments_of(m + 1)
         if reused:
-            assert rows == [row]
+            assert rows.tolist() == [row]
             assert tm.synapses_of(row) == {
                 c: pytest.approx(0.4) for c in range(n_match)}
         else:
@@ -608,19 +609,20 @@ class TestReset:
         tm = flat_tm()
         tm.create_segment(2, {0: 0.6, 1: 0.6})
         tm.step(cols([0, 1]))
-        assert tm.predictive_cells
+        assert tm.predictive_cells.tolist() == [2]
         n = tm.segment_count()
         tm.reset()
-        assert tm.active_cells == set() and tm.predictive_cells == set()
+        assert tm.active_cells.tolist() == [] and tm.predictive_cells.tolist() == []
         assert tm.segment_count() == n
 
     def test_reset_idempotent(self):
         tm = flat_tm()
         tm.step(cols([0]))
         tm.reset()
-        snapshot = (tm.active_cells, tm.predictive_cells, tm.segment_count())
+        snapshot = (tm.active_cells.tolist(), tm.predictive_cells.tolist(), tm.segment_count())
         tm.reset()
-        assert (tm.active_cells, tm.predictive_cells, tm.segment_count()) == snapshot
+        assert (tm.active_cells.tolist(), tm.predictive_cells.tolist(),
+                tm.segment_count()) == snapshot
 
 
 class TestSequenceLearning:
@@ -650,6 +652,25 @@ class TestRepeatedValues:
                                use_likelihood=False)
         raws = [detector.step(None, cycle[i % 8]) for i in range(2000)]
         assert sum(raws[1000:]) / 1000 < 0.1
+
+
+class TestQueries:
+    def test_queries_are_sorted_index_arrays_the_caller_owns(self):
+        """Each query is a sorted, distinct intp array; writing into one
+        changes no later answer."""
+        tm = TemporalMemory(n_columns=3, m_cells=2, activation_threshold=0,
+                            perm_punish=0.01)
+        tm.create_segment(5, {0: 0.6, 1: 0.6})
+        tm.create_segment(4, {0: 0.6})
+        tm.create_segment(5, {1: 0.6})
+        tm.step(cols([0]))  # column 0 bursts; cell 5's two segments predict
+        queries = [(lambda: tm.active_cells, [0, 1]), (lambda: tm.winner_cells, [0]),
+                   (lambda: tm.predictive_cells, [4, 5]), (lambda: tm.segments_of(5), [0, 2])]
+        for query, expected in queries:
+            got = query()
+            assert got.dtype == np.intp and got.tolist() == expected
+            got[:] = 3
+            assert query().tolist() == expected
 
 
 class TestSerialization:
