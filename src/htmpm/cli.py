@@ -6,11 +6,13 @@ read, each followed by ``,`` and its score; timestamps and values are not
 formatted again. It holds one file in memory per process: each score file
 is written as soon as it is scored, into a hidden ``.htmpm-run-*`` staging
 directory made inside the output directory when that exists, else in its
-nearest existing ancestor. Once every file is scored, the output
-directory is made, the files are moved into it by renames and
-``manifest.json`` is written; a refused run removes the staging
-directory, so it leaves nothing. A process killed mid-run can leave a
-``.htmpm-run-*`` directory behind.
+nearest existing ancestor. Once every file is scored, ``manifest.json``
+is written beside them, the output directory is made and the files are
+moved into it by renames, the manifest last, so that a manifest marks a
+complete run. A directory in the place of any of these files is a data
+error, found before the first move. A refused run removes the staging
+directory, so it leaves the output as it was. A process killed mid-run
+can leave a ``.htmpm-run-*`` directory behind.
 
 Exit codes: 0 success, 1 validation error, 2 data error. A command line
 the parser refuses, or one with no command, is a validation error with an
@@ -125,26 +127,33 @@ def cmd_run(cfg: RunConfig, workers: int = 1) -> Path:
                     raise
         else:
             outcomes = [_run_one(job) for job in jobs]
-        cfg.output_dir.mkdir(parents=True, exist_ok=True)
-        for name, _, _ in outcomes:
-            os.replace(staging / name, cfg.output_dir / name)
+        manifest = {
+            "config_hash": _config_hash(cfg),
+            "seed": cfg.seed,
+            "detector": cfg.detector.kind,
+            "package_version": __version__,
+            "train_fraction": cfg.train_fraction,
+            "files": {
+                name: {
+                    "records": records,
+                    "runtime_seconds": round(elapsed, 6),
+                    "records_per_second": round(records / elapsed, 1) if elapsed else None,
+                } for name, records, elapsed in outcomes
+            },
+        }
+        # the manifest moves in last, so that it marks a complete run
+        names = [name for name, _, _ in outcomes] + ["manifest.json"]
+        with _writing(cfg.output_dir):
+            (staging / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+            for name in names:
+                if (cfg.output_dir / name).is_dir():
+                    raise DataError(f"{cfg.output_dir / name}: cannot write: "
+                                    "a directory is in the way")
+            cfg.output_dir.mkdir(parents=True, exist_ok=True)
+            for name in names:
+                os.replace(staging / name, cfg.output_dir / name)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
-    manifest = {
-        "config_hash": _config_hash(cfg),
-        "seed": cfg.seed,
-        "detector": cfg.detector.kind,
-        "package_version": __version__,
-        "train_fraction": cfg.train_fraction,
-        "files": {
-            name: {
-                "records": records,
-                "runtime_seconds": round(elapsed, 6),
-                "records_per_second": round(records / elapsed, 1) if elapsed else None,
-            } for name, records, elapsed in outcomes
-        },
-    }
-    (cfg.output_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     return cfg.output_dir
 
 

@@ -282,13 +282,14 @@ class TemporalMemory:
             self._grow(grow, prev_winners)
 
     def _adjust(self, rows, presyn, delta):
-        """Add delta to the live synapses of rows (whose presyn is given),
-        clipped to [0, 1]; synapses driven to zero are destroyed."""
-        live = presyn != self._sentinel
+        """Add delta to the slots of rows (whose presyn is given), clipped
+        to [0, 1]; live synapses driven to zero are destroyed."""
         before = self.seg_perm[rows]
-        updated = before + np.where(live, delta, 0.0)  # float64
+        # a free slot's presyn, the sentinel, is never active, so its delta
+        # is never positive and its permanence 0 clips back to 0
+        updated = before + delta  # float64
         np.clip(updated, 0.0, 1.0, out=updated)
-        dead = live & (updated <= 0.0)  # clipped to exactly 0.0
+        dead = (updated <= 0.0) & (presyn != self._sentinel)  # clipped to exactly 0.0
         if dead.any():
             presyn[dead] = self._sentinel
             self.seg_presyn[rows] = presyn

@@ -47,6 +47,19 @@ def make_corpus(root, n_files=2, n_records=60, spike_at=40):
     return corpus, root / "labels.json"
 
 
+def refused(capsys, code, *argv):
+    """Run ``main(argv)`` and assert that it refuses with exit ``code``: an
+    ``error:`` line for 1 (validation), a ``data error:`` line for 2 (data),
+    no traceback and nothing on stdout. Returns stderr."""
+    capsys.readouterr()
+    assert main(list(argv)) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith({1: "error: ", 2: "data error: "}[code]), captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    return captured.err
+
+
 class TestRunCommand:
     def test_run_writes_scores_and_manifest(self, tmp_path):
         corpus, _ = make_corpus(tmp_path)
@@ -169,36 +182,49 @@ class TestRunCommand:
     def test_refused_run_leaves_nothing(self, tmp_path, capsys, workers, output):
         corpus = self.corrupt_second_of_three(tmp_path)
         before = sorted(tmp_path.rglob("*"))
-        rc = main(["run", "--corpus", str(corpus), "--output", str(tmp_path / output),
-                   "--detector", "null", "--workers", workers])
-        assert rc == 2
-        assert "series_1.csv" in capsys.readouterr().err
+        err = refused(capsys, 2, "run", "--corpus", str(corpus), "--output",
+                      str(tmp_path / output), "--detector", "null", "--workers", workers)
+        assert "series_1.csv" in err
         assert sorted(tmp_path.rglob("*")) == before
         assert self.staging_dirs(tmp_path) == []
 
     @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_refused_run_keeps_existing_output_directory(self, tmp_path, workers):
+    def test_refused_run_keeps_existing_output_directory(self, tmp_path, capsys, workers):
         corpus = self.corrupt_second_of_three(tmp_path)
         out = tmp_path / "out"
         out.mkdir()
         (out / "notes.txt").write_text("keep me\n")
         (out / "series_2.csv").write_text("an older score file\n")
-        rc = main(["run", "--corpus", str(corpus), "--output", str(out),
-                   "--detector", "null", "--workers", workers])
-        assert rc == 2
+        refused(capsys, 2, "run", "--corpus", str(corpus), "--output", str(out),
+                "--detector", "null", "--workers", workers)
         assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "series_2.csv"]
         assert (out / "notes.txt").read_text() == "keep me\n"
         assert (out / "series_2.csv").read_text() == "an older score file\n"
+        assert self.staging_dirs(tmp_path) == []
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("blocker", ["manifest.json", "series_1.csv"])
+    def test_directory_in_the_way_exits_2_and_moves_nothing(self, tmp_path, capsys, workers,
+                                                              blocker):
+        """A directory where a file of the run would go is found before the
+        first move, so the output stays as it was."""
+        corpus, _ = make_corpus(tmp_path)
+        out = tmp_path / "out"
+        (out / blocker).mkdir(parents=True)
+        err = refused(capsys, 2, "run", "--corpus", str(corpus), "--output", str(out),
+                      "--detector", "null", "--workers", workers)
+        assert err.startswith(f"data error: {out / blocker}: cannot write: ")
+        assert [p.name for p in out.iterdir()] == [blocker]
+        assert list((out / blocker).iterdir()) == []
         assert self.staging_dirs(tmp_path) == []
 
     @pytest.mark.parametrize("output", ["file.txt", "file.txt/scores"])
     def test_output_under_a_file_exits_2(self, tmp_path, capsys, output):
         corpus, _ = make_corpus(tmp_path)
         (tmp_path / "file.txt").write_text("x\n")
-        rc = main(["run", "--corpus", str(corpus), "--output", str(tmp_path / output),
-                   "--detector", "null"])
-        assert rc == 2
-        assert "cannot write" in capsys.readouterr().err
+        err = refused(capsys, 2, "run", "--corpus", str(corpus), "--output",
+                      str(tmp_path / output), "--detector", "null")
+        assert "cannot write" in err
         assert (tmp_path / "file.txt").read_text() == "x\n"
         assert self.staging_dirs(tmp_path) == []
 
@@ -210,11 +236,10 @@ class TestRunCommand:
         corpus, _ = make_corpus(tmp_path)
         (tmp_path / "link").symlink_to(corpus)
         before = {p.name: p.read_bytes() for p in corpus.iterdir()}
-        rc = main(["run", "--corpus", str(corpus), "--output", str(tmp_path / output),
-                   "--detector", "null", "--seed", "1", "--workers", workers])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "is the corpus directory" in err
+        err = refused(capsys, 1, "run", "--corpus", str(corpus), "--output",
+                      str(tmp_path / output), "--detector", "null", "--seed", "1",
+                      "--workers", workers)
+        assert "is the corpus directory" in err
         assert {p.name: p.read_bytes() for p in corpus.iterdir()} == before
         assert self.staging_dirs(tmp_path) == []
 
@@ -237,34 +262,31 @@ class TestRunCommand:
             assert len(read_scores(tmp_path / f"out{n_files}" / "degradation_00.csv")) == 2000
         assert peaks[8] <= 1.25 * peaks[2], peaks
 
-    def test_bad_header_exits_2(self, tmp_path):
+    def test_bad_header_exits_2(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         (corpus / "bad.csv").write_text("time,value\n2021-01-01T00:00:00,1\n")
-        rc = main(["run", "--corpus", str(corpus),
-                   "--output", str(tmp_path / "out"), "--detector", "null"])
-        assert rc == 2
+        refused(capsys, 2, "run", "--corpus", str(corpus),
+                "--output", str(tmp_path / "out"), "--detector", "null")
 
-    def test_non_utf8_series_exits_2(self, tmp_path):
+    def test_non_utf8_series_exits_2(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         (corpus / "bad.csv").write_bytes(b"timestamp,value\n2021-01-01T00:00:00,\xff\n")
-        rc = main(["run", "--corpus", str(corpus),
-                   "--output", str(tmp_path / "out"), "--detector", "null"])
-        assert rc == 2
+        refused(capsys, 2, "run", "--corpus", str(corpus),
+                "--output", str(tmp_path / "out"), "--detector", "null")
 
     @pytest.mark.parametrize("detector", ["windowed_gaussian", "htm_hd"])
     @pytest.mark.parametrize("text", ["nan", "inf"])
-    def test_non_finite_value_exits_2(self, tmp_path, detector, text):
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, detector, text):
         corpus, _ = make_corpus(tmp_path, n_files=1)
         path = corpus / "series_0.csv"
         lines = path.read_text().splitlines()
         lines[30] = lines[30].split(",")[0] + "," + text
         path.write_text("\n".join(lines) + "\n")
         out = tmp_path / "out"
-        rc = main(["run", "--corpus", str(corpus), "--output", str(out),
-                   "--detector", detector])
-        assert rc == 2
+        refused(capsys, 2, "run", "--corpus", str(corpus), "--output", str(out),
+                "--detector", detector)
         assert not (out / "series_0.csv").exists()
 
     @pytest.mark.parametrize("stamp", ["noon", "2021-13-01T00:00:00",
@@ -278,10 +300,9 @@ class TestRunCommand:
         lines = path.read_text().splitlines()
         lines[30] = stamp + "," + lines[30].split(",")[1]
         path.write_text("\n".join(lines) + "\n")
-        rc = main(["run", "--corpus", str(corpus), "--output", str(tmp_path / "out"),
-                   "--detector", "null"])
-        assert rc == 2
-        assert f"series_0.csv:31: bad timestamp {stamp!r}" in capsys.readouterr().err
+        err = refused(capsys, 2, "run", "--corpus", str(corpus), "--output",
+                      str(tmp_path / "out"), "--detector", "null")
+        assert f"series_0.csv:31: bad timestamp {stamp!r}" in err
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("detector, code, message", [
@@ -294,10 +315,10 @@ class TestRunCommand:
         """The detector's error is raised again as the same type, so the
         exit code stays."""
         corpus, _ = make_corpus(tmp_path)
-        rc = main(["run", "--corpus", str(corpus), "--output", str(tmp_path / "out"),
-                   "--train-fraction", "0", "--workers", workers, "--detector", *detector])
-        assert rc == code
-        assert capsys.readouterr().err == message.format(corpus / "series_0.csv") + "\n"
+        err = refused(capsys, code, "run", "--corpus", str(corpus), "--output",
+                      str(tmp_path / "out"), "--train-fraction", "0", "--workers", workers,
+                      "--detector", *detector)
+        assert err == message.format(corpus / "series_0.csv") + "\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -309,39 +330,32 @@ class TestRunCommand:
         for i, value in [(3, "1e308"), (6, "-1e308")]:
             lines[i] = lines[i].split(",")[0] + "," + value
         path.write_text("\n".join(lines) + "\n")
-        rc = main(["run", "--corpus", str(corpus), "--output", str(tmp_path / "out"),
-                   "--detector", "htm_hd", "--param", "n_columns=64", "--param", "k_active=4",
-                   "--workers", workers])
-        assert rc == 2
-        err = capsys.readouterr().err
+        err = refused(capsys, 2, "run", "--corpus", str(corpus), "--output",
+                      str(tmp_path / "out"), "--detector", "htm_hd", "--param", "n_columns=64",
+                      "--param", "k_active=4", "--workers", workers)
         assert err.startswith(f"data error: {path}: the training prefix's range ")
         assert not (tmp_path / "out").exists()
 
-    def test_empty_corpus_exits_2(self, tmp_path):
+    def test_empty_corpus_exits_2(self, tmp_path, capsys):
         (tmp_path / "corpus").mkdir()
-        rc = main(["run", "--corpus", str(tmp_path / "corpus"),
-                   "--output", str(tmp_path / "out"), "--detector", "null"])
-        assert rc == 2
+        refused(capsys, 2, "run", "--corpus", str(tmp_path / "corpus"),
+                "--output", str(tmp_path / "out"), "--detector", "null")
 
-    def test_missing_detector_exits_1(self, tmp_path):
+    def test_missing_detector_exits_1(self, tmp_path, capsys):
         corpus, _ = make_corpus(tmp_path)
-        rc = main(["run", "--corpus", str(corpus),
-                   "--output", str(tmp_path / "out")])
-        assert rc == 1
+        refused(capsys, 1, "run", "--corpus", str(corpus), "--output", str(tmp_path / "out"))
 
-    def test_htm_without_training_prefix_or_range_exits_2(self, tmp_path):
+    def test_htm_without_training_prefix_or_range_exits_2(self, tmp_path, capsys):
         # the same data error, and exit code, as the threshold detector's below
         corpus, _ = make_corpus(tmp_path, n_files=1, n_records=5)
-        rc = main(["run", "--corpus", str(corpus), "--output", str(tmp_path / "out"),
-                   "--detector", "htm_hd", "--train-fraction", "0",
-                   "--param", "n_columns=64", "--param", "k_active=4"])
-        assert rc == 2
+        refused(capsys, 2, "run", "--corpus", str(corpus), "--output", str(tmp_path / "out"),
+                "--detector", "htm_hd", "--train-fraction", "0",
+                "--param", "n_columns=64", "--param", "k_active=4")
 
-    def test_threshold_without_training_prefix_or_level_exits_2(self, tmp_path):
+    def test_threshold_without_training_prefix_or_level_exits_2(self, tmp_path, capsys):
         corpus, _ = make_corpus(tmp_path, n_files=1)
-        rc = main(["run", "--corpus", str(corpus), "--output", str(tmp_path / "out"),
-                   "--detector", "threshold", "--train-fraction", "0"])
-        assert rc == 2
+        refused(capsys, 2, "run", "--corpus", str(corpus), "--output", str(tmp_path / "out"),
+                "--detector", "threshold", "--train-fraction", "0")
 
     @pytest.mark.parametrize("param", [
         "tm_max_segments_per_cell=0", "tm_initial_permanence=-0.5",
@@ -355,37 +369,30 @@ class TestRunCommand:
     def test_bad_htm_parameter_exits_1(self, tmp_path, capsys, param):
         corpus, _ = make_corpus(tmp_path, n_files=1)
         out = tmp_path / "out"
-        rc = main(["run", "--corpus", str(corpus), "--output", str(out),
-                   "--detector", "htm_hd", "--param", param])
-        err = capsys.readouterr().err
-        assert rc == 1
+        err = refused(capsys, 1, "run", "--corpus", str(corpus), "--output", str(out),
+                      "--detector", "htm_hd", "--param", param)
         # the temporal memory names its own parameter, without the tm_ prefix
-        assert err.startswith("error: ") and param.partition("=")[0].removeprefix("tm_") in err
-        assert "Traceback" not in err
+        assert param.partition("=")[0].removeprefix("tm_") in err
         assert not out.exists()
 
     @pytest.mark.parametrize("detector", ["htm_hd", "random"])
     def test_negative_seed_exits_1(self, tmp_path, capsys, detector):
         corpus, _ = make_corpus(tmp_path, n_files=1)
         out = tmp_path / "out"
-        rc = main(["run", "--corpus", str(corpus), "--output", str(out),
-                   "--detector", detector, "--seed", "-1"])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err.startswith("error: ") and "seed" in err and "Traceback" not in err
+        err = refused(capsys, 1, "run", "--corpus", str(corpus), "--output", str(out),
+                      "--detector", detector, "--seed", "-1")
+        assert "seed" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("params", [["value_min=-1"], ["value_max=1"],
                                         ["value_min=-inf"]])
     def test_lone_encoder_bound_exits_1(self, tmp_path, capsys, params):
         corpus, _ = make_corpus(tmp_path, n_files=1)
-        rc = main(["run", "--corpus", str(corpus), "--output", str(tmp_path / "out"),
-                   "--detector", "htm_hd", *(f"--param={p}" for p in params)])
-        err = capsys.readouterr().err
-        assert rc == 1
+        err = refused(capsys, 1, "run", "--corpus", str(corpus), "--output",
+                      str(tmp_path / "out"), "--detector", "htm_hd",
+                      *(f"--param={p}" for p in params))
         missing = "value_max" if params[0].startswith("value_min") else "value_min"
-        assert err.startswith("error: ") and missing in err
-        assert "Traceback" not in err
+        assert missing in err
 
     def test_both_encoder_bounds_run(self, tmp_path):
         corpus, _ = make_corpus(tmp_path, n_files=1)
@@ -400,13 +407,10 @@ class TestRunCommand:
         # every value to the first block
         corpus, _ = make_corpus(tmp_path, n_files=1)
         out = tmp_path / "out"
-        rc = main(["run", "--corpus", str(corpus), "--output", str(out),
-                   "--detector", "htm_hd", "--param", "value_min=-1e308",
-                   "--param", "value_max=1e308"])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err.startswith("error: ") and "value_max - value_min" in err
-        assert "Traceback" not in err
+        err = refused(capsys, 1, "run", "--corpus", str(corpus), "--output", str(out),
+                      "--detector", "htm_hd", "--param", "value_min=-1e308",
+                      "--param", "value_max=1e308")
+        assert "value_max - value_min" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -418,12 +422,9 @@ class TestRunCommand:
         write_series(corpus / "series_0.csv",
                      [(T0 + timedelta(minutes=j), v) for j, v in enumerate(values)])
         out = tmp_path / "out"
-        rc = main(["run", "--corpus", str(corpus), "--output", str(out),
-                   "--detector", "htm_hd", "--workers", workers])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert err.startswith("data error: ") and "training prefix" in err
-        assert "Traceback" not in err
+        err = refused(capsys, 2, "run", "--corpus", str(corpus), "--output", str(out),
+                      "--detector", "htm_hd", "--workers", workers)
+        assert "training prefix" in err
         assert not out.exists()
 
     def test_training_range_wider_than_float64_with_stated_bounds_exits_2(self, tmp_path,
@@ -438,13 +439,10 @@ class TestRunCommand:
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rc = main(["run", "--corpus", str(corpus), "--output", str(out),
-                       "--detector", "htm_hd", "--param", "value_min=-2",
-                       "--param", "value_max=2"])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert err.startswith("data error: ") and "training prefix's range" in err
-        assert "Traceback" not in err
+            err = refused(capsys, 2, "run", "--corpus", str(corpus), "--output", str(out),
+                          "--detector", "htm_hd", "--param", "value_min=-2",
+                          "--param", "value_max=2")
+        assert "training prefix's range" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("bounds", [[], ["--param", "value_min=-2", "--param", "value_max=2"]],
@@ -468,12 +466,9 @@ class TestRunCommand:
     def test_workers_below_one_exit_1(self, tmp_path, capsys, workers):
         corpus, _ = make_corpus(tmp_path, n_files=1)
         out = tmp_path / "out"
-        rc = main(["run", "--corpus", str(corpus), "--output", str(out),
-                   "--detector", "null", f"--workers={workers}"])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err.startswith("error: ") and "--workers" in err
-        assert "Traceback" not in err
+        err = refused(capsys, 1, "run", "--corpus", str(corpus), "--output", str(out),
+                      "--detector", "null", f"--workers={workers}")
+        assert "--workers" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("entry", ["seed = abc", "train_fraction = x", "subsample = 1.5"])
@@ -482,11 +477,8 @@ class TestRunCommand:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"corpus_dir = {corpus}\noutput_dir = {tmp_path / 'out'}\n"
                        f"detector.kind = null\n{entry}\n")
-        rc = main(["run", "--config", str(cfg)])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err.startswith("error: ") and entry.partition(" ")[0] in err
-        assert "Traceback" not in err
+        err = refused(capsys, 1, "run", "--config", str(cfg))
+        assert entry.partition(" ")[0] in err
 
     @pytest.mark.parametrize("flag, key, value", [
         ("--seed", "seed", "abc"), ("--train-fraction", "train_fraction", "x"),
@@ -498,15 +490,13 @@ class TestRunCommand:
         same entry of a config file does, and fails the same way."""
         corpus, _ = make_corpus(tmp_path, n_files=1)
         out = tmp_path / "out"
-        rc = main(["run", "--corpus", str(corpus), "--output", str(out),
-                   "--detector", "null", flag, value])
-        err = capsys.readouterr().err
+        err = refused(capsys, 1, "run", "--corpus", str(corpus), "--output", str(out),
+                      "--detector", "null", flag, value)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"corpus_dir = {corpus}\noutput_dir = {out}\n"
                        f"detector.kind = null\n{key} = {value}\n")
-        assert main(["run", "--config", str(cfg)]) == rc == 1
-        assert capsys.readouterr().err == err
-        assert err.startswith("error: ") and key in err and "Traceback" not in err
+        assert refused(capsys, 1, "run", "--config", str(cfg)) == err
+        assert key in err
         assert not out.exists()
 
     @pytest.mark.parametrize("make", [Path.mkdir, lambda p: p.write_bytes(b"seed = \xff\n")],
@@ -516,15 +506,13 @@ class TestRunCommand:
         decoded is a validation error naming it, not a traceback."""
         cfg = tmp_path / "run.cfg"
         make(cfg)
-        assert main(["run", "--config", str(cfg)]) == 1
-        err = capsys.readouterr().err
+        err = refused(capsys, 1, "run", "--config", str(cfg))
         assert err.startswith(f"error: config file {cfg}: ") and err.count("\n") == 1
 
     def test_bad_config_line_names_the_file(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("corpus_dir c\n")
-        assert main(["run", "--config", str(cfg)]) == 1
-        err = capsys.readouterr().err
+        err = refused(capsys, 1, "run", "--config", str(cfg))
         assert err.startswith(f"error: config file {cfg}: config line 1: ")
         assert err.count("\n") == 1
 
@@ -532,10 +520,8 @@ class TestRunCommand:
     def test_non_integer_workers_exit_1(self, tmp_path, capsys, workers):
         corpus, _ = make_corpus(tmp_path, n_files=1)
         out = tmp_path / "out"
-        rc = main(["run", "--corpus", str(corpus), "--output", str(out),
-                   "--detector", "null", "--workers", workers])
-        err = capsys.readouterr().err
-        assert rc == 1
+        err = refused(capsys, 1, "run", "--corpus", str(corpus), "--output", str(out),
+                      "--detector", "null", "--workers", workers)
         assert err.startswith("error: --workers must be an integer")
         assert not out.exists()
 
@@ -615,28 +601,23 @@ class TestScoreCommand:
         results = json.loads((results_dir / "results.json").read_text())
         assert all(row["normalized_score"] > 90.0 for row in results)
 
-    def test_unknown_profile_exits_1(self, tmp_path):
+    def test_unknown_profile_exits_1(self, tmp_path, capsys):
         corpus, labels = make_corpus(tmp_path)
         scores_dir = tmp_path / "scores"
         main(["run", "--corpus", str(corpus), "--output", str(scores_dir),
               "--detector", "null"])
-        rc = main(["score", "--scores", str(scores_dir),
-                   "--labels", str(labels),
-                   "--output", str(tmp_path / "r"), "--profiles", "bogus"])
-        assert rc == 1
+        refused(capsys, 1, "score", "--scores", str(scores_dir), "--labels", str(labels),
+                "--output", str(tmp_path / "r"), "--profiles", "bogus")
 
     def test_repeated_profile_exits_1(self, tmp_path, capsys):
         # refused before the labels, which do not exist, are read
         scores_dir = tmp_path / "scores"
         scores_dir.mkdir()
         results_dir = tmp_path / "r"
-        rc = main(["score", "--scores", str(scores_dir),
-                   "--labels", str(tmp_path / "labels.json"),
-                   "--output", str(results_dir), "--profiles", "standard,low_fp,standard"])
-        err = capsys.readouterr().err
-        assert rc == 1
+        err = refused(capsys, 1, "score", "--scores", str(scores_dir),
+                      "--labels", str(tmp_path / "labels.json"),
+                      "--output", str(results_dir), "--profiles", "standard,low_fp,standard")
         assert err.startswith("error: profile(s) ['standard'] given more than once")
-        assert "Traceback" not in err
         assert not results_dir.exists()
 
     def test_non_numeric_budget_exits_1(self, tmp_path, capsys):
@@ -644,10 +625,9 @@ class TestScoreCommand:
         scores_dir = tmp_path / "scores"
         main(["run", "--corpus", str(corpus), "--output", str(scores_dir),
               "--detector", "null"])
-        rc = main(["score", "--scores", str(scores_dir), "--labels", str(labels),
-                   "--output", str(tmp_path / "r"), "--budget", "x"])
-        assert rc == 1
-        assert capsys.readouterr().err.startswith("error: --budget must be")
+        err = refused(capsys, 1, "score", "--scores", str(scores_dir), "--labels", str(labels),
+                      "--output", str(tmp_path / "r"), "--budget", "x")
+        assert err.startswith("error: --budget must be")
 
     @pytest.mark.parametrize("make_dir", [False, True], ids=["missing", "empty"])
     def test_no_score_files_exit_2(self, tmp_path, capsys, make_dir):
@@ -655,23 +635,19 @@ class TestScoreCommand:
         if make_dir:
             scores_dir.mkdir()
         (tmp_path / "labels.json").write_text("{}")
-        rc = main(["score", "--scores", str(scores_dir),
-                   "--labels", str(tmp_path / "labels.json"),
-                   "--output", str(tmp_path / "r")])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert err.startswith("data error: ") and str(scores_dir) in err
-        assert "Traceback" not in err
+        err = refused(capsys, 2, "score", "--scores", str(scores_dir),
+                      "--labels", str(tmp_path / "labels.json"),
+                      "--output", str(tmp_path / "r"))
+        assert str(scores_dir) in err
 
-    def test_missing_score_file_exits_2(self, tmp_path):
+    def test_missing_score_file_exits_2(self, tmp_path, capsys):
         corpus, labels = make_corpus(tmp_path)
         scores_dir = tmp_path / "scores"
         scores_dir.mkdir()
-        rc = main(["score", "--scores", str(scores_dir),
-                   "--labels", str(labels), "--output", str(tmp_path / "r")])
-        assert rc == 2
+        refused(capsys, 2, "score", "--scores", str(scores_dir),
+                "--labels", str(labels), "--output", str(tmp_path / "r"))
 
-    def test_out_of_order_score_file_exits_2(self, tmp_path):
+    def test_out_of_order_score_file_exits_2(self, tmp_path, capsys):
         corpus, labels = make_corpus(tmp_path)
         scores_dir = tmp_path / "scores"
         main(["run", "--corpus", str(corpus), "--output", str(scores_dir),
@@ -679,41 +655,37 @@ class TestScoreCommand:
         path = scores_dir / "series_0.csv"
         header, first, second, *rest = path.read_text().splitlines()
         path.write_text("\n".join([header, second, first, *rest]) + "\n")
-        rc = main(["score", "--scores", str(scores_dir),
-                   "--labels", str(labels), "--output", str(tmp_path / "r")])
-        assert rc == 2
+        refused(capsys, 2, "score", "--scores", str(scores_dir),
+                "--labels", str(labels), "--output", str(tmp_path / "r"))
 
-    def test_non_utf8_score_file_exits_2(self, tmp_path):
+    def test_non_utf8_score_file_exits_2(self, tmp_path, capsys):
         corpus, labels = make_corpus(tmp_path)
         scores_dir = tmp_path / "scores"
         main(["run", "--corpus", str(corpus), "--output", str(scores_dir),
               "--detector", "null"])
         with open(scores_dir / "series_0.csv", "ab") as f:
             f.write(b"2021-01-02T00:00:00,1.0,\xff\n")
-        rc = main(["score", "--scores", str(scores_dir),
-                   "--labels", str(labels), "--output", str(tmp_path / "r")])
-        assert rc == 2
+        refused(capsys, 2, "score", "--scores", str(scores_dir),
+                "--labels", str(labels), "--output", str(tmp_path / "r"))
 
-    def test_non_utf8_labels_exit_2(self, tmp_path):
+    def test_non_utf8_labels_exit_2(self, tmp_path, capsys):
         corpus, labels = make_corpus(tmp_path)
         scores_dir = tmp_path / "scores"
         main(["run", "--corpus", str(corpus), "--output", str(scores_dir),
               "--detector", "null"])
         labels.write_bytes(b'{"series_0.csv": ["\xff"]}')
-        rc = main(["score", "--scores", str(scores_dir),
-                   "--labels", str(labels), "--output", str(tmp_path / "r")])
-        assert rc == 2
+        refused(capsys, 2, "score", "--scores", str(scores_dir),
+                "--labels", str(labels), "--output", str(tmp_path / "r"))
 
     @pytest.mark.parametrize("doc", ['{"series_0.csv": 5}', '{"series_0.csv": [5]}'])
-    def test_malformed_labels_exit_2(self, tmp_path, doc):
+    def test_malformed_labels_exit_2(self, tmp_path, capsys, doc):
         corpus, labels = make_corpus(tmp_path)
         scores_dir = tmp_path / "scores"
         main(["run", "--corpus", str(corpus), "--output", str(scores_dir),
               "--detector", "null"])
         labels.write_text(doc)
-        rc = main(["score", "--scores", str(scores_dir),
-                   "--labels", str(labels), "--output", str(tmp_path / "r")])
-        assert rc == 2
+        refused(capsys, 2, "score", "--scores", str(scores_dir),
+                "--labels", str(labels), "--output", str(tmp_path / "r"))
 
     def test_bad_label_instant_names_labels_file_and_series(self, tmp_path, capsys):
         corpus, labels = make_corpus(tmp_path)
@@ -721,10 +693,9 @@ class TestScoreCommand:
         main(["run", "--corpus", str(corpus), "--output", str(scores_dir),
               "--detector", "null"])
         labels.write_text('{"series_1.csv": ["2021-01-01T00:40:00", "noon"]}')
-        rc = main(["score", "--scores", str(scores_dir),
-                   "--labels", str(labels), "--output", str(tmp_path / "r")])
-        assert rc == 2
-        assert "labels.json: labels of 'series_1.csv': bad timestamp 'noon'" in capsys.readouterr().err
+        err = refused(capsys, 2, "score", "--scores", str(scores_dir),
+                      "--labels", str(labels), "--output", str(tmp_path / "r"))
+        assert "labels.json: labels of 'series_1.csv': bad timestamp 'noon'" in err
 
     @pytest.mark.parametrize("stamp", ["0001-01-01T00:00:00+01:00",
                                        "9999-12-31T23:00:00-05:00"])
@@ -734,10 +705,9 @@ class TestScoreCommand:
         main(["run", "--corpus", str(corpus), "--output", str(scores_dir),
               "--detector", "null"])
         labels.write_text(json.dumps({"series_1.csv": ["2021-01-01T00:40:00", stamp]}))
-        rc = main(["score", "--scores", str(scores_dir),
-                   "--labels", str(labels), "--output", str(tmp_path / "r")])
-        assert rc == 2
-        assert capsys.readouterr().err == (
+        err = refused(capsys, 2, "score", "--scores", str(scores_dir),
+                      "--labels", str(labels), "--output", str(tmp_path / "r"))
+        assert err == (
             f"data error: {labels}: labels of 'series_1.csv': "
             f"bad timestamp {stamp!r}: date value out of range\n")
         assert not (tmp_path / "r").exists()
@@ -756,11 +726,9 @@ class TestScoreCommand:
         path = scores_dir / "series_1.csv"
         path.write_text("\n".join(path.read_text().splitlines()[:records + 1]) + "\n")
         labels.write_text(json.dumps({"series_1.csv": [label]}))
-        rc = main(["score", "--scores", str(scores_dir),
-                   "--labels", str(labels), "--output", str(tmp_path / "r")])
-        assert rc == 2
-        assert capsys.readouterr().err == (
-            f"data error: {labels}: labels of 'series_1.csv': {fault}\n")
+        err = refused(capsys, 2, "score", "--scores", str(scores_dir),
+                      "--labels", str(labels), "--output", str(tmp_path / "r"))
+        assert err == f"data error: {labels}: labels of 'series_1.csv': {fault}\n"
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "1.5"])
@@ -773,10 +741,9 @@ class TestScoreCommand:
         lines = path.read_text().splitlines()
         lines[20] = lines[20].rsplit(",", 1)[0] + "," + score
         path.write_text("\n".join(lines) + "\n")
-        rc = main(["score", "--scores", str(scores_dir),
-                   "--labels", str(labels), "--output", str(tmp_path / "r")])
-        assert rc == 2
-        assert "series_1.csv:21: score" in capsys.readouterr().err
+        err = refused(capsys, 2, "score", "--scores", str(scores_dir),
+                      "--labels", str(labels), "--output", str(tmp_path / "r"))
+        assert "series_1.csv:21: score" in err
         assert not (tmp_path / "r" / "results.json").exists()
 
     def test_missing_labels_exit_2(self, tmp_path, capsys):
@@ -784,10 +751,9 @@ class TestScoreCommand:
         scores_dir = tmp_path / "scores"
         main(["run", "--corpus", str(corpus), "--output", str(scores_dir),
               "--detector", "null"])
-        rc = main(["score", "--scores", str(scores_dir),
-                   "--labels", str(tmp_path / "nope.json"), "--output", str(tmp_path / "r")])
-        assert rc == 2
-        assert "nope.json: cannot read" in capsys.readouterr().err
+        err = refused(capsys, 2, "score", "--scores", str(scores_dir),
+                      "--labels", str(tmp_path / "nope.json"), "--output", str(tmp_path / "r"))
+        assert "nope.json: cannot read" in err
 
     @pytest.mark.parametrize("doc", [{}, {"degradation_00.csv": []}])
     def test_labels_without_a_window_exit_2(self, tmp_path, capsys, doc):
@@ -798,11 +764,9 @@ class TestScoreCommand:
         assert main(["run", "--corpus", str(corpus), "--output", str(scores_dir),
                      "--detector", "null"]) == 0
         (tmp_path / "labels.json").write_text(json.dumps(doc))
-        rc = main(["score", "--scores", str(scores_dir), "--labels",
-                   str(tmp_path / "labels.json"), "--output", str(tmp_path / "results")])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("data error: ") and "no scored file has an anomaly window" in err
+        err = refused(capsys, 2, "score", "--scores", str(scores_dir), "--labels",
+                      str(tmp_path / "labels.json"), "--output", str(tmp_path / "results"))
+        assert "no scored file has an anomaly window" in err
         assert not (tmp_path / "results").exists()
 
     def test_table_printed(self, tmp_path, capsys):
@@ -817,11 +781,9 @@ class TestScoreCommand:
         main(["run", "--corpus", str(corpus), "--output", str(scores_dir),
               "--detector", "null"])
         (tmp_path / "file.txt").write_text("x\n")
-        rc = main(["score", "--scores", str(scores_dir), "--labels", str(labels),
-                   "--output", str(tmp_path / output)])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith(
-            f"data error: {tmp_path / output}: cannot write: ")
+        err = refused(capsys, 2, "score", "--scores", str(scores_dir), "--labels", str(labels),
+                      "--output", str(tmp_path / output))
+        assert err.startswith(f"data error: {tmp_path / output}: cannot write: ")
         assert (tmp_path / "file.txt").read_text() == "x\n"
 
     def test_score_memory_per_record(self, tmp_path):
@@ -925,14 +887,13 @@ class TestSynthCommand:
         (tmp_path / "file.txt").write_text("x\n")
         series = str(corpus / "series_0.csv")
         output = tmp_path / args[-1]
-        rc = main(["synth", *args[:-1], str(output), "--bearing", series, "--target", series])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith(f"data error: {output}: cannot write: ")
+        err = refused(capsys, 2, "synth", *args[:-1], str(output),
+                      "--bearing", series, "--target", series)
+        assert err.startswith(f"data error: {output}: cannot write: ")
         assert (tmp_path / "file.txt").read_text() == "x\n"
 
-    def test_map_requires_inputs(self, tmp_path):
-        rc = main(["synth", "--mode", "map", "--output", str(tmp_path / "o")])
-        assert rc == 1
+    def test_map_requires_inputs(self, tmp_path, capsys):
+        refused(capsys, 1, "synth", "--mode", "map", "--output", str(tmp_path / "o"))
 
     @pytest.mark.parametrize("args", [
         ["--sample-rate", "-50"], ["--duration", "nan"], ["--sample-rate", "nan"],
@@ -942,10 +903,7 @@ class TestSynthCommand:
     ])
     def test_bad_generate_numbers_exit_1(self, tmp_path, capsys, args):
         out = tmp_path / "synth"
-        rc = main(["synth", "--mode", "generate", "--output", str(out), *args])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err.startswith("error: ") and "Traceback" not in err
+        refused(capsys, 1, "synth", "--mode", "generate", "--output", str(out), *args)
         assert not out.exists()
 
     @pytest.mark.parametrize("mode, flag, value", [
@@ -958,11 +916,9 @@ class TestSynthCommand:
         series = tmp_path / "series.csv"
         write_series(series, [(T0 + timedelta(seconds=i), float(i % 7)) for i in range(600)])
         out = tmp_path / "out"
-        rc = main(["synth", "--mode", mode, "--bearing", str(series),
-                   "--target", str(series), "--output", str(out), flag, value])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err.startswith(f"error: {flag} must be") and "Traceback" not in err
+        err = refused(capsys, 1, "synth", "--mode", mode, "--bearing", str(series),
+                      "--target", str(series), "--output", str(out), flag, value)
+        assert err.startswith(f"error: {flag} must be")
         assert not out.exists()
 
     @pytest.mark.parametrize("args", [
@@ -973,11 +929,8 @@ class TestSynthCommand:
         series = tmp_path / "series.csv"
         write_series(series, [(T0 + timedelta(seconds=i), float(i % 7)) for i in range(600)])
         out = tmp_path / "mapped.csv"
-        rc = main(["synth", "--mode", "map", "--bearing", str(series),
-                   "--target", str(series), "--output", str(out), *args])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err.startswith("error: ") and "Traceback" not in err
+        refused(capsys, 1, "synth", "--mode", "map", "--bearing", str(series),
+                "--target", str(series), "--output", str(out), *args)
         assert not out.exists()
 
     def test_zero_hop_exits_1(self, tmp_path, capsys):
@@ -985,10 +938,9 @@ class TestSynthCommand:
         series = tmp_path / "series.csv"
         write_series(series, [(T0 + timedelta(seconds=i), float(i % 7)) for i in range(600)])
         out = tmp_path / "mapped.csv"
-        rc = main(["synth", "--mode", "map", "--bearing", str(series),
-                   "--target", str(series), "--output", str(out), "--hop", "0"])
-        assert rc == 1
-        assert capsys.readouterr().err == "error: need 0 < hop <= window_len\n"
+        err = refused(capsys, 1, "synth", "--mode", "map", "--bearing", str(series),
+                      "--target", str(series), "--output", str(out), "--hop", "0")
+        assert err == "error: need 0 < hop <= window_len\n"
         assert not out.exists()
 
 
@@ -1032,18 +984,16 @@ class TestInspectCommand:
                                                     stamp):
         path = tmp_path / "f.csv"
         path.write_text(f"{header}\n{stamp}{tail}\n")
-        assert main(["inspect", str(path)]) == 2
-        assert capsys.readouterr().err == (
+        assert refused(capsys, 2, "inspect", str(path)) == (
             f"data error: {path}:2: bad timestamp {stamp!r}: date value out of range\n")
 
     @pytest.mark.parametrize("name", ["nope.csv", "nope.json"])
     def test_missing_file_exits_2(self, tmp_path, capsys, name):
-        assert main(["inspect", str(tmp_path / name)]) == 2
-        assert f"{name}: cannot read" in capsys.readouterr().err
+        assert f"{name}: cannot read" in refused(capsys, 2, "inspect", str(tmp_path / name))
 
-    def test_directory_exits_2(self, tmp_path):
+    def test_directory_exits_2(self, tmp_path, capsys):
         (tmp_path / "d.csv").mkdir()
-        assert main(["inspect", str(tmp_path / "d.csv")]) == 2
+        refused(capsys, 2, "inspect", str(tmp_path / "d.csv"))
 
     def test_inspect_labels(self, tmp_path, capsys):
         _, labels = make_corpus(tmp_path)
@@ -1051,30 +1001,30 @@ class TestInspectCommand:
         assert rc == 0
         assert "2 top-level entries" in capsys.readouterr().out
 
-    def test_malformed_json_exits_2(self, tmp_path):
+    def test_malformed_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"series_0.csv": [')
-        assert main(["inspect", str(path)]) == 2
+        refused(capsys, 2, "inspect", str(path))
 
     def test_utf16_json_exits_2(self, tmp_path, capsys):
         """JSON is read as UTF-8, as every input is."""
         path = tmp_path / "labels.json"
         path.write_text('{"series_0.csv": []}', encoding="utf-16")
-        assert main(["inspect", str(path)]) == 2
-        assert capsys.readouterr().err.startswith(f"data error: {path}: not UTF-8 text: ")
+        err = refused(capsys, 2, "inspect", str(path))
+        assert err.startswith(f"data error: {path}: not UTF-8 text: ")
 
-    def test_json_scalar_exits_2(self, tmp_path):
+    def test_json_scalar_exits_2(self, tmp_path, capsys):
         path = tmp_path / "scalar.json"
         path.write_text("5\n")
-        assert main(["inspect", str(path)]) == 2
+        refused(capsys, 2, "inspect", str(path))
 
     @pytest.mark.parametrize("suffix", [".pkl", ".bin", ".model", ".txt"])
-    def test_other_suffixes_exit_2_without_unpickling(self, tmp_path, suffix):
+    def test_other_suffixes_exit_2_without_unpickling(self, tmp_path, capsys, suffix):
         # unpickling this payload would create the marker file
         marker = tmp_path / "marker"
         path = tmp_path / f"model{suffix}"
         path.write_bytes(pickle.dumps(_CreatesFileWhenUnpickled(str(marker))))
-        assert main(["inspect", str(path)]) == 2
+        refused(capsys, 2, "inspect", str(path))
         assert not marker.exists()
 
     def test_payload_would_create_marker(self, tmp_path):
@@ -1096,16 +1046,12 @@ class TestCommandLine:
     def test_usage_error_exits_1(self, capsys, argv):
         """A command line the parser refuses is a validation error: one
         error line and exit code 1, not a usage banner and exit code 2."""
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert captured.out == ""
+        assert refused(capsys, 1, *argv).count("\n") == 1
 
     def test_unknown_top_level_flag_is_named(self, capsys):
         """argparse names an unknown flag before any missing command."""
-        assert main(["--bogus"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "--bogus" in err and err.count("\n") == 1
+        err = refused(capsys, 1, "--bogus")
+        assert "--bogus" in err and err.count("\n") == 1
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

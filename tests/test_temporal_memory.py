@@ -254,6 +254,30 @@ class TestLearning:
         assert 0 not in tm.synapses_of(row)
         assert 1 in tm.synapses_of(row)
 
+    def test_free_slots_hold_zero_and_live_slots_more(self):
+        """_adjust adds delta to free slots too: their presyn, the sentinel,
+        is never active, so no delta lifts their permanence above 0."""
+        cycle = [-1.0, -0.5, 0.0, 0.5, 1.0, 0.5, 0.0, -0.5]
+        detector = HtmDetector({"value_min": -2.0, "value_max": 2.0}, seed=1,
+                               use_likelihood=False)
+        tm, adjust, deaths = detector.tm, detector.tm._adjust, []
+
+        def counting_adjust(rows, presyn, delta):
+            live = np.count_nonzero(presyn != tm._sentinel)
+            adjust(rows, presyn, delta)  # marks each dead synapse's presyn in place
+            deaths.append(live - np.count_nonzero(presyn != tm._sentinel))
+
+        tm._adjust = counting_adjust
+        noise = np.random.default_rng(3).normal(0.0, 0.1, 1200)
+        for i, eps in enumerate(noise.tolist()):
+            detector.step(None, cycle[i % 8] + eps)
+        assert sum(deaths) > 0
+        n = tm.segment_count()
+        free = tm.seg_presyn[:n] == tm._sentinel
+        assert free.any() and (~free).any()
+        assert np.all(tm.seg_perm[:n][free] == 0.0)
+        assert np.all(tm.seg_perm[:n][~free] > 0.0)
+
 
 class TestSegmentBookkeeping:
     def test_lru_eviction_at_cap(self):
