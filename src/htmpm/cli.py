@@ -4,15 +4,16 @@
 through them and writes a score file whose rows are the series rows as
 read, each followed by ``,`` and its score; timestamps and values are not
 formatted again. It holds one file in memory per process: each score file
-is written as soon as it is scored, into a hidden ``.htmpm-run-*`` staging
-directory made inside the output directory when that exists, else in its
-nearest existing ancestor. Once every file is scored, ``manifest.json``
-is written beside them, the output directory is made and the files are
-moved into it by renames, the manifest last, so that a manifest marks a
-complete run. A directory in the place of any of these files is a data
-error, found before the first move. A refused run removes the staging
-directory, so it leaves the output as it was. A process killed mid-run
-can leave a ``.htmpm-run-*`` directory behind.
+is written as soon as it is scored.
+
+``run``, ``score`` and ``synth --mode generate`` write their files into a
+hidden ``.htmpm-run-*`` staging directory, inside the output directory
+when that exists, else in its nearest existing ancestor, then make the
+output directory and move the files in by renames: ``run``'s
+``manifest.json`` last, so that it marks a complete run. A directory in
+the place of any file is a data error, found before the first move. A
+refused command removes the staging directory, so it leaves the output as
+it was; a process killed mid-write can leave one behind.
 
 Exit codes: 0 success, 1 validation error, 2 data error. A command line
 the parser refuses, or one with no command, is a validation error with an
@@ -48,7 +49,8 @@ from .config import KNOWN_KEYS, RunConfig, load_config
 from .detectors import DETECTOR_KINDS, _integer, _number, run_file
 from .errors import DataError, HtmpmError, ValidationError
 from .nab import PROFILES, benchmark, make_windows
-from .psd_synth import DegradationModel, SynthSpec, generate_degradation, psd_map
+from .psd_synth import (DegradationModel, SynthSpec, generate_degradation, psd_map,
+                        sample_count)
 from .series import (Columns, _micros, read_columns, read_json, read_labels,
                      read_scores, read_series, write_labels, write_scores,
                      write_series, write_windows)
@@ -92,13 +94,25 @@ def _writing(path):
         raise DataError(f"{path}: cannot write: {exc.strerror or exc}") from None
 
 
-def _staging_dir(output_dir: Path) -> Path:
-    """A hidden directory on the output's file system, inside the output
-    directory when it exists, else in its nearest existing ancestor, so
-    that each score file moves in by a rename."""
+def _publish(output_dir: Path, write) -> Path:
+    """Land a command's files in ``output_dir`` through a staging directory
+    on its file system, as the module docstring describes: ``write(staging)``
+    writes them there and returns their names in the order they move in."""
     parent = next(p for p in (output_dir, *output_dir.parents) if p.exists())
     with _writing(output_dir):
-        return Path(tempfile.mkdtemp(prefix=".htmpm-run-", dir=parent))
+        staging = Path(tempfile.mkdtemp(prefix=".htmpm-run-", dir=parent))
+        try:
+            names = write(staging)
+            for name in names:
+                if (output_dir / name).is_dir():
+                    raise DataError(f"{output_dir / name}: cannot write: "
+                                    "a directory is in the way")
+            output_dir.mkdir(parents=True, exist_ok=True)
+            for name in names:
+                os.replace(staging / name, output_dir / name)
+        finally:
+            shutil.rmtree(staging, ignore_errors=True)
+    return output_dir
 
 
 def cmd_run(cfg: RunConfig, workers: int = 1) -> Path:
@@ -112,8 +126,8 @@ def cmd_run(cfg: RunConfig, workers: int = 1) -> Path:
     files = sorted(cfg.corpus_dir.glob("*.csv"))
     if not files:
         raise DataError(f"no .csv series in {cfg.corpus_dir}")
-    staging = _staging_dir(cfg.output_dir)
-    try:
+
+    def write(staging):
         jobs = [(cfg, path, staging) for path in files]
         if workers > 1:
             # spawned, not forked: numpy's BLAS threads make this process
@@ -141,20 +155,10 @@ def cmd_run(cfg: RunConfig, workers: int = 1) -> Path:
                 } for name, records, elapsed in outcomes
             },
         }
+        (staging / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
         # the manifest moves in last, so that it marks a complete run
-        names = [name for name, _, _ in outcomes] + ["manifest.json"]
-        with _writing(cfg.output_dir):
-            (staging / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-            for name in names:
-                if (cfg.output_dir / name).is_dir():
-                    raise DataError(f"{cfg.output_dir / name}: cannot write: "
-                                    "a directory is in the way")
-            cfg.output_dir.mkdir(parents=True, exist_ok=True)
-            for name in names:
-                os.replace(staging / name, cfg.output_dir / name)
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
-    return cfg.output_dir
+        return [name for name, _, _ in outcomes] + ["manifest.json"]
+    return _publish(cfg.output_dir, write)
 
 
 def cmd_score(scores_dir, labels_path, profiles, output_dir,
@@ -193,11 +197,13 @@ def cmd_score(scores_dir, labels_path, profiles, output_dir,
         detector_name, outputs, windows_by_file,
         [PROFILES[p] for p in profiles],
     )
-    with _writing(output_dir):
-        output_dir.mkdir(parents=True, exist_ok=True)
-        write_windows(output_dir / "windows.json", windows_by_file)
-        (output_dir / "results.json").write_text(
+
+    def write(staging):
+        write_windows(staging / "windows.json", windows_by_file)
+        (staging / "results.json").write_text(
             json.dumps([asdict(r) for r in results], indent=2) + "\n")
+        return ["windows.json", "results.json"]
+    _publish(output_dir, write)
 
     header = f"{'Detector':<20} {'Profile':<10} {'Raw':>12} {'Normalized':>12} {'Threshold':>10}"
     print(header)
@@ -225,44 +231,44 @@ def cmd_synth_generate(output_dir, n_files, duration, sample_rate, seed,
         raise ValidationError(f"--files must be at least 1, got {n_files}")
     if seed < 0:
         raise ValidationError(f"--seed must be >= 0, got {seed}")
-    output_dir = Path(output_dir)
+    sample_count(duration, sample_rate)  # refused before anything is staged
     start_time = start_time or datetime(2021, 1, 1)
-    labels_doc = {}
-    rng = np.random.default_rng(seed)
     # fault frequencies with integer sample periods, so the healthy and
     # faulty regimes are exactly periodic and online detectors can settle
     fault_choices = (sample_rate / 10.0, sample_rate / 8.0, sample_rate / 5.0)
-    for i in range(n_files):
-        file_seed = seed + i
-        fault_freq = float(fault_choices[int(rng.integers(len(fault_choices)))])
-        base_amp = float(rng.uniform(1.0, 1.5))
-        # fault onset plus two stepped escalations in the scored stretch
-        breakpoints = tuple(
-            (float(frac) * duration, base_amp * factor)
-            for frac, factor in zip(
-                sorted(rng.uniform(0.25, 0.95, size=3)), (1.0, 2.0, 3.5)
+
+    def write(staging):
+        labels_doc = {}
+        rng = np.random.default_rng(seed)
+        for i in range(n_files):
+            file_seed = seed + i
+            fault_freq = float(fault_choices[int(rng.integers(len(fault_choices)))])
+            base_amp = float(rng.uniform(1.0, 1.5))
+            # fault onset plus two stepped escalations in the scored stretch
+            breakpoints = tuple(
+                (float(frac) * duration, base_amp * factor)
+                for frac, factor in zip(
+                    sorted(rng.uniform(0.25, 0.95, size=3)), (1.0, 2.0, 3.5)
+                )
             )
-        )
-        model = DegradationModel(
-            baseline_sigma=0.02,
-            fault_freqs=(fault_freq,),
-            growth=breakpoints,
-        )
-        values, label_times = generate_degradation(
-            model, duration, sample_rate, seed=file_seed
-        )
-        name = f"degradation_{i:02d}.csv"
-        times = _sample_times(start_time, len(values), sample_rate)
-        # made once generate_degradation has checked the duration and rate
-        with _writing(output_dir):
-            output_dir.mkdir(parents=True, exist_ok=True)
-            write_series(output_dir / name, Columns(times, values))
-        labels_doc[name] = [
-            start_time + timedelta(seconds=t) for t in label_times
-        ]
-    with _writing(output_dir):
-        write_labels(output_dir / "labels.json", labels_doc)
-    return output_dir
+            model = DegradationModel(
+                baseline_sigma=0.02,
+                fault_freqs=(fault_freq,),
+                growth=breakpoints,
+            )
+            values, label_times = generate_degradation(
+                model, duration, sample_rate, seed=file_seed
+            )
+            name = f"degradation_{i:02d}.csv"
+            times = _sample_times(start_time, len(values), sample_rate)
+            write_series(staging / name, Columns(times, values))
+            labels_doc[name] = [
+                start_time + timedelta(seconds=t) for t in label_times
+            ]
+        write_labels(staging / "labels.json", labels_doc)
+        # the labels move in after the series they label
+        return [*labels_doc, "labels.json"]
+    return _publish(Path(output_dir), write)
 
 
 def cmd_synth_map(bearing_path, target_path, output_path, spec: SynthSpec):

@@ -139,13 +139,8 @@ class DegradationModel:
             raise ValidationError("growth breakpoints must be in time order")
 
 
-def generate_degradation(model: DegradationModel, duration: float,
-                         sample_rate: float, seed: int = 0):
-    """Synthesize a degradation run; returns (values, label_times).
-
-    values is a float array of duration * sample_rate samples; label_times
-    are the growth breakpoints in seconds. Deterministic for a given seed.
-    """
+def sample_count(duration: float, sample_rate: float) -> int:
+    """The number of samples in ``duration`` s at ``sample_rate`` Hz, if any."""
     _check_positive("duration", duration)
     _check_positive("sample_rate", sample_rate)
     if not math.isfinite(duration * sample_rate):
@@ -153,6 +148,17 @@ def generate_degradation(model: DegradationModel, duration: float,
     n = int(round(duration * sample_rate))
     if n < 1:
         raise ValidationError(f"{duration} s at {sample_rate} Hz is no sample")
+    return n
+
+
+def generate_degradation(model: DegradationModel, duration: float,
+                         sample_rate: float, seed: int = 0):
+    """Synthesize a degradation run; returns (values, label_times).
+
+    values is a float array of duration * sample_rate samples; label_times
+    are the growth breakpoints in seconds. Deterministic for a given seed.
+    """
+    n = sample_count(duration, sample_rate)
     t = np.arange(n) / sample_rate
     rng = np.random.default_rng(seed)
     values = rng.normal(0.0, model.baseline_sigma, size=n)

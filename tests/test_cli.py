@@ -1,6 +1,8 @@
 """End-to-end harness: run, score, synth, inspect."""
 
+import errno
 import json
+import os
 import pickle
 import tracemalloc
 import warnings
@@ -58,6 +60,10 @@ def refused(capsys, code, *argv):
     assert "Traceback" not in captured.err
     assert captured.out == ""
     return captured.err
+
+
+def staging_dirs(root):
+    return sorted(root.rglob(".htmpm-run-*"))
 
 
 class TestRunCommand:
@@ -154,10 +160,6 @@ class TestRunCommand:
             assert (serial / name).read_bytes() == (parallel / name).read_bytes()
             assert serial_files[name]["records"] == parallel_files[name]["records"] == 60
 
-    @staticmethod
-    def staging_dirs(root):
-        return sorted(root.rglob(".htmpm-run-*"))
-
     def test_run_leaves_no_staging_directory(self, tmp_path):
         corpus, _ = make_corpus(tmp_path)
         out = tmp_path / "new" / "scores"
@@ -166,7 +168,7 @@ class TestRunCommand:
                          "--detector", "null"]) == 0
             assert sorted(p.name for p in out.iterdir()) == [
                 "manifest.json", "series_0.csv", "series_1.csv"]
-        assert self.staging_dirs(tmp_path) == []
+        assert staging_dirs(tmp_path) == []
 
     @staticmethod
     def corrupt_second_of_three(root):
@@ -186,7 +188,7 @@ class TestRunCommand:
                       str(tmp_path / output), "--detector", "null", "--workers", workers)
         assert "series_1.csv" in err
         assert sorted(tmp_path.rglob("*")) == before
-        assert self.staging_dirs(tmp_path) == []
+        assert staging_dirs(tmp_path) == []
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_refused_run_keeps_existing_output_directory(self, tmp_path, capsys, workers):
@@ -200,7 +202,7 @@ class TestRunCommand:
         assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "series_2.csv"]
         assert (out / "notes.txt").read_text() == "keep me\n"
         assert (out / "series_2.csv").read_text() == "an older score file\n"
-        assert self.staging_dirs(tmp_path) == []
+        assert staging_dirs(tmp_path) == []
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("blocker", ["manifest.json", "series_1.csv"])
@@ -216,7 +218,7 @@ class TestRunCommand:
         assert err.startswith(f"data error: {out / blocker}: cannot write: ")
         assert [p.name for p in out.iterdir()] == [blocker]
         assert list((out / blocker).iterdir()) == []
-        assert self.staging_dirs(tmp_path) == []
+        assert staging_dirs(tmp_path) == []
 
     @pytest.mark.parametrize("output", ["file.txt", "file.txt/scores"])
     def test_output_under_a_file_exits_2(self, tmp_path, capsys, output):
@@ -226,7 +228,7 @@ class TestRunCommand:
                       str(tmp_path / output), "--detector", "null")
         assert "cannot write" in err
         assert (tmp_path / "file.txt").read_text() == "x\n"
-        assert self.staging_dirs(tmp_path) == []
+        assert staging_dirs(tmp_path) == []
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("output", ["corpus", "corpus/../corpus", "link"])
@@ -241,7 +243,7 @@ class TestRunCommand:
                       "--workers", workers)
         assert "is the corpus directory" in err
         assert {p.name: p.read_bytes() for p in corpus.iterdir()} == before
-        assert self.staging_dirs(tmp_path) == []
+        assert staging_dirs(tmp_path) == []
 
     def test_run_memory_does_not_grow_with_the_corpus(self, tmp_path):
         # each score file is written as soon as it is scored, so the peak
@@ -900,11 +902,19 @@ class TestSynthCommand:
         ["--sample-rate", "0"], ["--files", "-2"], ["--files", "0"],
         ["--duration", "1e-9"], ["--seed", "-1"],
         ["--duration", "1e300", "--sample-rate", "1e300"],
+        # the last --output wins: one under a file, which cannot be written
+        ["--sample-rate", "0", "--output", "file.txt/synth"],
     ])
-    def test_bad_generate_numbers_exit_1(self, tmp_path, capsys, args):
+    def test_bad_generate_numbers_exit_1(self, tmp_path, capsys, monkeypatch, args):
+        """Refused before anything is staged, so an output that cannot be
+        written is not reached."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "file.txt").write_text("x\n")
         out = tmp_path / "synth"
         refused(capsys, 1, "synth", "--mode", "generate", "--output", str(out), *args)
         assert not out.exists()
+        assert (tmp_path / "file.txt").read_text() == "x\n"
+        assert staging_dirs(tmp_path) == []
 
     @pytest.mark.parametrize("mode, flag, value", [
         ("generate", "--files", "1.5"), ("generate", "--seed", "x"),
@@ -942,6 +952,55 @@ class TestSynthCommand:
                       "--target", str(series), "--output", str(out), "--hop", "0")
         assert err == "error: need 0 < hop <= window_len\n"
         assert not out.exists()
+
+
+class TestOutputLanding:
+    """``run``, ``score`` and ``synth --mode generate`` stage their files and
+    move them in only once all are written, so a refused command leaves the
+    output as it was."""
+
+    @staticmethod
+    def argv(root, command, out):
+        if command == "synth":
+            return ["synth", "--mode", "generate", "--files", "2", "--duration", "8",
+                    "--output", str(out)]
+        corpus, labels = make_corpus(root)
+        if command == "run":
+            return ["run", "--corpus", str(corpus), "--output", str(out), "--detector", "null"]
+        assert main(["run", "--corpus", str(corpus), "--output", str(root / "scores"),
+                     "--detector", "null"]) == 0
+        return ["score", "--scores", str(root / "scores"), "--labels", str(labels),
+                "--output", str(out)]
+
+    @pytest.mark.parametrize("command, blocker", [
+        ("score", "windows.json"), ("score", "results.json"),
+        ("synth", "degradation_01.csv"), ("synth", "labels.json"),
+    ])
+    def test_directory_in_the_way_exits_2_and_moves_nothing(self, tmp_path, capsys, command,
+                                                              blocker):
+        out = tmp_path / "out"
+        argv = self.argv(tmp_path, command, out)
+        (out / blocker).mkdir(parents=True)
+        err = refused(capsys, 2, *argv)
+        assert err.startswith(f"data error: {out / blocker}: cannot write: ")
+        assert [p.name for p in out.iterdir()] == [blocker]
+        assert list((out / blocker).iterdir()) == []
+        assert staging_dirs(tmp_path) == []
+
+    @pytest.mark.parametrize("command, writer", [
+        ("run", "write_scores"), ("score", "write_windows"), ("synth", "write_series"),
+    ])
+    def test_full_disk_exits_2(self, tmp_path, capsys, monkeypatch, command, writer):
+        out = tmp_path / "out"
+        argv = self.argv(tmp_path, command, out)
+
+        def full(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        monkeypatch.setattr(f"htmpm.cli.{writer}", full)
+        err = refused(capsys, 2, *argv)
+        assert err == f"data error: {out}: cannot write: No space left on device\n"
+        assert not out.exists()
+        assert staging_dirs(tmp_path) == []
 
 
 class TestInspectCommand:
